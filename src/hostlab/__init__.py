@@ -4,7 +4,6 @@ from .adic import (
     KroneckerSchedule,
     PrecisionBudget,
     UnitPoint,
-    exp_weyl_bound_check,
     kronecker_schedule,
     make_point_from_digits,
     mul_mod1,

@@ -1,10 +1,13 @@
 """Exact arithmetic on [0,1) with fixed a-adic precision.
 
 A point is stored as an integer numerator over a power of the ambient base,
-so repeated multiplication mod 1 is one exact big-integer multiply-and-reduce
-per step.  The module also provides the time-change schedule n' = floor(alpha*n),
-z_n = alpha*n mod 1 for alpha = log b / log a, computed with a controlled
-number of bits so every floor is certified unambiguous.
+so multiplication mod 1 is exact.  A whole xb orbit needs no per-step
+arithmetic: one big division gives floor(2^53 b^N x), and its base-b digits
+(`_int_to_digits`) give every read-out floor(2^53 frac(b^n x)), n <= N,
+exactly; a character e(m .) evaluated on a read-out is within O(m 2^-53) of
+its exact value.  The module also provides the time-change schedule
+n' = floor(alpha*n), z_n = alpha*n mod 1 for alpha = log b / log a, computed
+with a controlled number of bits so every floor is certified unambiguous.
 
 Interval convention: all intervals are half-open [k/a^n, (k+1)/a^n); a point
 belongs to the atom whose left endpoint it is.
@@ -12,7 +15,6 @@ belongs to the atom whose left endpoint it is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,15 +72,31 @@ def _digits_to_int(digits, base: int) -> int:
     return _digits_to_int(digits[:half], base) * _pow(base, n - half) + _digits_to_int(digits[half:], base)
 
 
-def _int_to_digits(value: int, base: int, length: int) -> list[int]:
-    if length <= 32:
-        out = [0] * length
-        for i in range(length - 1, -1, -1):
-            value, out[i] = divmod(value, base)
-        return out
-    lo = length // 2
-    hi_val, lo_val = divmod(value, _pow(base, lo))
-    return _int_to_digits(hi_val, base, length - lo) + _int_to_digits(lo_val, base, lo)
+def _int_to_digits(value: int, base: int, length: int) -> np.ndarray:
+    """The `length` base-`base` digits of 0 <= value < base**length, most
+    significant first, as uint64: divide and conquer down to machine words,
+    then every word is peeled into digits at once."""
+    k = 1                                   # digits per uint64 word
+    while base ** (k + 1) < 1 << 64:
+        k += 1
+    words = []
+
+    def split(v: int, n: int) -> None:
+        if n <= 1:
+            words.append(v)
+            return
+        lo = n // 2
+        hi, rest = divmod(v, _pow(base, lo * k))
+        split(hi, n - lo)
+        split(rest, lo)
+
+    nwords = max(1, -(-length // k))
+    split(value, nwords)
+    w = np.array(words, dtype=np.uint64)
+    out = np.empty((nwords, k), dtype=np.uint64)
+    for j in range(k - 1, -1, -1):
+        w, out[:, j] = np.divmod(w, base)
+    return out.ravel()[nwords * k - length:]
 
 
 def make_point_from_digits(base: int, digits) -> UnitPoint:
@@ -98,7 +116,7 @@ def digits_of(x: UnitPoint, count: int | None = None) -> list[int]:
     if not (1 <= count <= x.precision):
         raise InputError(f"count {count} outside 1..{x.precision}")
     head = x.numerator // _pow(x.base, x.precision - count)
-    return _int_to_digits(head, x.base, count)
+    return _int_to_digits(head, x.base, count).tolist()
 
 
 def mul_mod1(x: UnitPoint, t: int) -> UnitPoint:
@@ -256,26 +274,3 @@ def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> Kroneck
     return KroneckerSchedule(a=a, b=b, N=N, float_bits=float_bits,
                              alpha=scaled * inv, dependent=False,
                              nprime_table=nprime, z_table=z)
-
-
-# ---------------------------------------------------------------------------
-# Rotation sanity oracle
-# ---------------------------------------------------------------------------
-
-def exp_weyl_bound_check(alpha: float, j: int, N: int) -> tuple[float, float]:
-    """(lhs, rhs) with lhs = |sum_{n<=N} e(j n alpha)| and rhs = 1/(2 dist(j alpha, Z)).
-
-    Direct summation against the classical geometric-sum bound for an
-    irrational rotation.  Raises if j*alpha is (numerically) an integer.
-    """
-    if j == 0:
-        raise InputError("j must be nonzero")
-    if N < 1:
-        raise InputError("N must be >= 1")
-    beta = j * alpha
-    dist = abs(beta - round(beta))
-    if dist < 1e-12:
-        raise InputError("j*alpha is an integer at working precision")
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    lhs = abs(np.exp(2j * np.pi * beta * ns).sum())
-    return float(lhs), float(1.0 / (2.0 * dist))

@@ -415,7 +415,9 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
             checkpoints=(10_000, 100_000), freqs=(1,),
             label="negative-control-dependent")
         rep = pipeline.host_experiment(cfg, parallel_map=reports.parallel_map)
-        mu_hat = fourier.ft_adic(measures.realize(gen, 20), 1.0)
+        # transform of realize(gen, 20), from its product structure alone
+        mu_hat = complex(fourier._ft_structured(
+            gen.base, 20, ("product", gen.p, 20), [1.0])[0])
         final_N = cfg.checkpoints[-1]
         for s in range(cfg.samples):
             w = next(complex(r[3], r[4]) for r in rep.rows
@@ -565,11 +567,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sub = args.subcommand
     try:
-        opts = Options(args, DEFAULTS[sub])
-        if sub == "weyl" and getattr(args, "checkpoints_max", None):
-            n_max = int(args.checkpoints_max)
+        if getattr(args, "checkpoints_max", None) is not None:
+            # --N is flag shorthand for --checkpoints, so it outranks the file
+            if args.checkpoints is not None:
+                raise InputError("give --N or --checkpoints, not both")
+            n_max = args.checkpoints_max
             cps = [n for n in (1000, 10_000, 100_000) if n < n_max] + [n_max]
-            opts._defaults["checkpoints"] = ",".join(map(str, cps))
+            args.checkpoints = ",".join(map(str, cps))
+        opts = Options(args, DEFAULTS[sub])
         opts.require("seed")
         out_dir = Path(opts.get("out") or "hostlab-out")
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -133,28 +133,6 @@ def martingale_avg_experiment(proc: SymbolicProcess, f: WindowFunction,
     return np.asarray(list(parallel_map(one_trial, range(trials))))
 
 
-def split_index_average(values, k: int):
-    """Reassemble the full average from the k residue-class averages.
-
-    Returns (full_mean, recombined_mean, class_means, class_sizes); the two
-    means agree up to float association error.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if len(values) == 0:
-        raise InputError("values must be nonempty")
-    full = float(values.mean())
-    class_means = []
-    class_sizes = []
-    for p in range(k):
-        cls = values[p::k]
-        class_sizes.append(len(cls))
-        class_means.append(float(cls.mean()) if len(cls) else 0.0)
-    recombined = float(np.dot(class_means, class_sizes) / len(values))
-    return full, recombined, class_means, class_sizes
-
-
 # ---------------------------------------------------------------------------
 # Joint equidistribution along floor(beta n)
 # ---------------------------------------------------------------------------

@@ -76,19 +76,27 @@ def _structured_phase_sum(flat: np.ndarray, h: float, base: int,
     return (E * u) @ init
 
 
+def _ft_structured(base: int, level: int, structure: tuple, xis) -> np.ndarray:
+    """Transform at every frequency in xis of the level-`level` measure whose
+    weights factor as `structure`; the weights themselves are never formed."""
+    xis = np.asarray(xis, dtype=np.float64)
+    flat = np.ravel(xis)
+    h = float(base) ** -level
+    out = _structured_phase_sum(flat, h, base, structure)
+    out *= np.exp((1j * np.pi * h) * flat) * np.sinc(flat * h)
+    return out.reshape(xis.shape)
+
+
 def ft_adic_many(mu: AdicMeasure, xis) -> np.ndarray:
     """Transform of mu at every frequency in xis (vectorized)."""
+    if mu.structure is not None and mu.level >= 1:
+        return _ft_structured(mu.base, mu.level, mu.structure, xis)
     xis = np.asarray(xis, dtype=np.float64)
     flat = np.ravel(xis)
     h = mu.cell_width
     w = mu.weights
     K = len(w)
     out = np.empty(len(flat), dtype=np.complex128)
-
-    if mu.structure is not None and mu.level >= 1:
-        out = _structured_phase_sum(flat, h, mu.base, mu.structure)
-        out *= np.exp((1j * np.pi * h) * flat) * np.sinc(flat * h)
-        return out.reshape(xis.shape)
 
     nz = np.flatnonzero(w)
     if len(nz) * 8 <= K:

@@ -314,27 +314,6 @@ def shift_push(mu: AdicMeasure, j: int) -> AdicMeasure:
     return AdicMeasure(base=mu.base, level=mu.level - j, weights=w)
 
 
-def coarsen(mu: AdicMeasure, j: int = 1) -> AdicMeasure:
-    """Drop the last j digits (marginalize the finest scales)."""
-    if not (0 <= j <= mu.level):
-        raise InputError(f"coarsen count {j} outside 0..{mu.level}")
-    if j == 0:
-        return mu
-    w = mu.weights.reshape(-1, mu.base ** j).sum(axis=1)
-    return AdicMeasure(base=mu.base, level=mu.level - j, weights=w)
-
-
-def refine(mu: AdicMeasure, j: int = 1) -> AdicMeasure:
-    """Split every cell into a^j equal parts (the piecewise-uniform reading)."""
-    if j < 0:
-        raise InputError("refine count must be >= 0")
-    parts = mu.base ** j
-    if len(mu.weights) * parts > MAX_WEIGHT_ENTRIES:
-        raise ResourceError("refinement exceeds the weight-vector budget")
-    w = np.repeat(mu.weights / parts, parts)
-    return AdicMeasure(base=mu.base, level=mu.level + j, weights=w)
-
-
 def verify_equivariance(gen: MeasureGen, past: PastWord, w: CylinderWord,
                         N: int, tol: float = 1e-12) -> bool:
     """Check that conditioning-then-shifting equals shifting the past.
@@ -427,13 +406,6 @@ def sample_past(gen: MeasureGen, length: int, rng: np.random.Generator) -> PastW
     """Stationary past of the given length (most recent symbol first)."""
     digits = sample_digits(gen, length, rng)
     return PastWord(gen.base, tuple(int(d) for d in digits[::-1]))
-
-
-def sample_points(mu: AdicMeasure, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points drawn from the piecewise-uniform measure."""
-    p = mu.weights / mu.weights.sum()
-    cells = rng.choice(len(p), size=count, p=p)
-    return (cells + rng.random(count)) * mu.cell_width
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@ points, the orbit-versus-conditional comparison, and the k-indexed scale
 integral whose decay drives everything.
 
 All orbits run in exact integer arithmetic at a precision budget covering the
-full orbit length; nothing is silently degraded to floats.
+full orbit length; nothing is silently degraded to floats.  Each orbit point
+T_b^n x is read out as r_n = floor(2^53 frac(b^n x)), exactly, from one big
+division and the base-b digit stream of its quotient; only the characters
+e(m r_n 2^-53) are floats, so a Weyl average is within O(m 2^-53) of the
+exact one.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .adic import (
     PrecisionBudget,
     UnitPoint,
+    _int_to_digits,
     digits_of,
     kronecker_schedule,
     make_point_from_digits,
@@ -59,34 +64,69 @@ class WeylAccumulator:
         return complex(self.values[self.checkpoints.index(N), self.freqs.index(m)])
 
 
-def _orbit_character_sums(num: int, mod: int, b: int, freqs, checkpoints):
-    """Partial sums of e(m * T_b^n x) over n = 1..max(checkpoints).
+_CHUNK = 2048                 # orbit steps per scan / phase block
+_MASK64 = (1 << 64) - 1
 
-    One exact multiply-and-reduce per step; e_m is evaluated from the top 53
-    binary digits of the current numerator (error O(m 2^-53)).
+
+def _orbit_readout_chunks(num: int, mod: int, b: int, N: int):
+    """Yield r_n = floor(2^53 frac(b^n x)), x = num/mod, for n = 1..N, as
+    consecutive uint64 blocks of at most _CHUNK steps.
+
+    G_n = floor(2^53 b^n x) satisfies G_n = b G_(n-1) + e_n, where e_1..e_N
+    are the base-b digits of G_N below b^N.  So one big division gives G_N,
+    one radix conversion gives the digits, and the recurrence runs as a
+    uint64 doubling scan.  The scan wraps mod 2^64, and 2^53 divides 2^64,
+    so r_n = G_n mod 2^53 is exact.
     """
-    cps = sorted(checkpoints)
-    taus = [TAU * m for m in freqs]
-    sums = [0.0 + 0.0j] * len(freqs)
-    out = np.empty((len(cps), len(freqs)), dtype=np.complex128)
-    ci = 0
-    bits = mod.bit_length() - 1
-    pow2 = (1 << bits) == mod and bits > 60
-    inv53 = 2.0 ** -53
-    cos, sin = math.cos, math.sin
-    for n in range(1, cps[-1] + 1):
-        num = (num * b) % mod
-        if pow2:
-            xr = (num >> (bits - 53)) * inv53
-        else:
-            xr = ((num << 53) // mod) * inv53
-        for i, t in enumerate(taus):
-            ang = t * xr
-            sums[i] += complex(cos(ang), sin(ang))
-        if n == cps[ci]:
-            out[ci] = [s / n for s in sums]
-            ci += 1
+    bN = b ** N
+    head, low = divmod(((num * bN) << 53) // mod, bN)
+    digits = _int_to_digits(low, b, N)
+    g = head                                  # G_(start) mod 2^64
+    for start in range(0, N, _CHUNK):
+        v = digits[start:start + _CHUNK].copy()
+        v[0] = (b * g + int(v[0])) & _MASK64
+        p, s = b, 1                           # p = b^s mod 2^64, a Python int
+        while s < len(v):
+            v[s:] += np.uint64(p) * v[:-s]
+            p, s = (p * p) & _MASK64, 2 * s
+        g = int(v[-1])
+        yield v & np.uint64((1 << 53) - 1)
+
+
+def _orbit_character_sums(num: int, mod: int, b: int, freqs, checkpoints):
+    """Averages (1/N) sum_(n<=N) e(m T_b^n x), x = num/mod, at each ascending
+    checkpoint N (rows) and m in `freqs` (columns), from the exact read-outs
+    r_n: e_m is evaluated at r_n 2^-53, so each is within O(m 2^-53)."""
+    taus = TAU * np.asarray(freqs, dtype=np.float64)
+    out = np.empty((len(checkpoints), len(taus)), dtype=np.complex128)
+    total = np.zeros(len(taus), dtype=np.complex128)
+    ci, done = 0, 0
+    for r in _orbit_readout_chunks(num, mod, b, checkpoints[-1]):
+        ang = np.multiply.outer(taus, r * 2.0 ** -53)
+        ph = np.empty(ang.shape, dtype=np.complex128)
+        np.cos(ang, out=ph.real)
+        np.sin(ang, out=ph.imag)
+        lo = 0
+        while ci < len(checkpoints) and checkpoints[ci] <= done + len(r):
+            n = checkpoints[ci]
+            total += ph[:, lo:n - done].sum(axis=1)
+            out[ci] = total / n
+            lo, ci = n - done, ci + 1
+        total += ph[:, lo:].sum(axis=1)
+        done += len(r)
     return out
+
+
+def _freqs_and_checkpoints(freqs, checkpoints):
+    """Validated frequencies and ascending checkpoints; repeats are refused,
+    since each (m, N) names one row of the output."""
+    freqs = tuple(int(m) for m in freqs)
+    checkpoints = tuple(sorted(int(n) for n in checkpoints))
+    if not freqs or 0 in freqs or len(set(freqs)) < len(freqs):
+        raise InputError("frequency set must be nonempty, distinct and exclude 0")
+    if not checkpoints or checkpoints[0] < 1 or len(set(checkpoints)) < len(checkpoints):
+        raise InputError("checkpoints must be distinct positive integers")
+    return freqs, checkpoints
 
 
 def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints,
@@ -94,14 +134,10 @@ def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints,
     """Running character averages W_N(m) along the exact xb orbit of x.
 
     The point's retained precision must cover the longest checkpoint; running
-    past the budget is a hard error, never a silent degradation.
+    past the budget is a hard error, never a silent degradation.  Repeated
+    frequencies or checkpoints are refused; checkpoints come back ascending.
     """
-    freqs = tuple(int(m) for m in freqs)
-    checkpoints = tuple(sorted(int(n) for n in checkpoints))
-    if not freqs or any(m == 0 for m in freqs):
-        raise InputError("frequency set must be nonempty and exclude 0")
-    if not checkpoints or checkpoints[0] < 1:
-        raise InputError("checkpoints must be positive integers")
+    freqs, checkpoints = _freqs_and_checkpoints(freqs, checkpoints)
     if b < 2:
         raise InputError("b must be >= 2")
     budget = PrecisionBudget.plan(x.base, b, checkpoints[-1], guard_digits)
@@ -340,6 +376,11 @@ class HostExperimentConfig:
     guard_digits: int = 64
     soft_final_threshold: float = 0.05
     label: str = ""
+
+    def __post_init__(self):
+        freqs, checkpoints = _freqs_and_checkpoints(self.freqs, self.checkpoints)
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "checkpoints", checkpoints)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,13 @@ of quadrature, explicit interval wrapping instead of frequency identities).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import sici
+
+from hostlab.errors import InputError, ResourceError
+from hostlab.measures import MAX_WEIGHT_ENTRIES, AdicMeasure
 
 TAU = 2.0 * np.pi
 
@@ -64,8 +69,6 @@ def mc_scaled_sq(mu, b: float, m: int, pairs: int,
     Each pair integral is evaluated in closed form through the sine/cosine
     integrals: int_0^1 e(c b^t) dt = (1/ln b) * [Ci + i Si](c u)|_{u=1}^{b}.
     """
-    from hostlab.measures import sample_points
-
     ys = sample_points(mu, pairs, rng)
     yps = sample_points(mu, pairs, rng)
     c = TAU * m * (ys - yps)
@@ -131,3 +134,102 @@ def wrapped_transform(mu, scale: float, m: int) -> complex:
             total += dens * piece
             a = b
     return total
+
+
+def orbit_readouts(num: int, mod: int, b: int, N: int) -> list[int]:
+    """floor(2^53 frac(b^n x)) for n = 1..N, x = num/mod, by one exact
+    multiply-and-reduce per step; a power-of-2 denominator is read by shifting."""
+    bits = mod.bit_length() - 1
+    pow2 = (1 << bits) == mod and bits > 60
+    out = []
+    for _ in range(N):
+        num = (num * b) % mod
+        out.append(num >> (bits - 53) if pow2 else (num << 53) // mod)
+    return out
+
+
+def orbit_character_sums(num: int, mod: int, b: int, freqs, checkpoints):
+    """Averages of e(m T_b^n x) at each sorted checkpoint, summed step by
+    step from the per-step read-outs."""
+    cps = sorted(checkpoints)
+    taus = [TAU * m for m in freqs]
+    sums = [0.0 + 0.0j] * len(freqs)
+    out = np.empty((len(cps), len(freqs)), dtype=np.complex128)
+    ci = 0
+    for n, r in enumerate(orbit_readouts(num, mod, b, cps[-1]), start=1):
+        xr = r * 2.0 ** -53
+        for i, t in enumerate(taus):
+            sums[i] += complex(math.cos(t * xr), math.sin(t * xr))
+        if n == cps[ci]:
+            out[ci] = [s / n for s in sums]
+            ci += 1
+    return out
+
+
+def sample_points(mu, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count points drawn from the piecewise-uniform measure."""
+    p = mu.weights / mu.weights.sum()
+    cells = rng.choice(len(p), size=count, p=p)
+    return (cells + rng.random(count)) * mu.cell_width
+
+
+def exp_weyl_bound_check(alpha: float, j: int, N: int) -> tuple[float, float]:
+    """(lhs, rhs) with lhs = |sum_{n<=N} e(j n alpha)| and rhs = 1/(2 dist(j alpha, Z)).
+
+    Direct summation against the classical geometric-sum bound for an
+    irrational rotation.  Raises if j*alpha is (numerically) an integer.
+    """
+    if j == 0:
+        raise InputError("j must be nonzero")
+    if N < 1:
+        raise InputError("N must be >= 1")
+    beta = j * alpha
+    dist = abs(beta - round(beta))
+    if dist < 1e-12:
+        raise InputError("j*alpha is an integer at working precision")
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    lhs = abs(np.exp(2j * np.pi * beta * ns).sum())
+    return float(lhs), float(1.0 / (2.0 * dist))
+
+
+def split_index_average(values, k: int):
+    """Reassemble the full average from the k residue-class averages.
+
+    Returns (full_mean, recombined_mean, class_means, class_sizes); the two
+    means agree up to float association error.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if len(values) == 0:
+        raise InputError("values must be nonempty")
+    full = float(values.mean())
+    class_means = []
+    class_sizes = []
+    for p in range(k):
+        cls = values[p::k]
+        class_sizes.append(len(cls))
+        class_means.append(float(cls.mean()) if len(cls) else 0.0)
+    recombined = float(np.dot(class_means, class_sizes) / len(values))
+    return full, recombined, class_means, class_sizes
+
+
+def coarsen(mu: AdicMeasure, j: int = 1) -> AdicMeasure:
+    """Drop the last j digits (marginalize the finest scales)."""
+    if not (0 <= j <= mu.level):
+        raise InputError(f"coarsen count {j} outside 0..{mu.level}")
+    if j == 0:
+        return mu
+    w = mu.weights.reshape(-1, mu.base ** j).sum(axis=1)
+    return AdicMeasure(base=mu.base, level=mu.level - j, weights=w)
+
+
+def refine(mu: AdicMeasure, j: int = 1) -> AdicMeasure:
+    """Split every cell into a^j equal parts (the piecewise-uniform reading)."""
+    if j < 0:
+        raise InputError("refine count must be >= 0")
+    parts = mu.base ** j
+    if len(mu.weights) * parts > MAX_WEIGHT_ENTRIES:
+        raise ResourceError("refinement exceeds the weight-vector budget")
+    w = np.repeat(mu.weights / parts, parts)
+    return AdicMeasure(base=mu.base, level=mu.level + j, weights=w)

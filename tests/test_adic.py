@@ -9,7 +9,6 @@ from hostlab.adic import (
     PrecisionBudget,
     UnitPoint,
     digits_of,
-    exp_weyl_bound_check,
     kronecker_schedule,
     make_point_from_digits,
     mul_mod1,
@@ -19,6 +18,7 @@ from hostlab.adic import (
     to_real,
 )
 from hostlab.errors import InputError, PrecisionError
+from oracles import exp_weyl_bound_check
 
 
 def test_make_point_positional_evaluation():

@@ -73,6 +73,31 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows1) == 2 + 2 and len(rows2) == 2 + 1
 
 
+def test_weyl_N_flag_outranks_config_checkpoints(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"gen": "cantor3", "b": 2, "m": "1",
+                                    "samples": 1, "checkpoints": "150",
+                                    "seed": 11}))
+    out = tmp_path / "out"
+    assert cli.main(["weyl", "--config", str(cfg_path), "--out", str(out),
+                     "--N", "500"]) == 0
+    rows = (out / "weyl.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["500"]
+    summary = json.loads((out / "weyl_summary.json").read_text())
+    assert summary["config"]["checkpoints"] == "500"
+    assert cli.main(["weyl", "--config", str(cfg_path), "--out", str(out),
+                     "--N", "500", "--checkpoints", "100"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--checkpoints", "100,100,200"],
+                                   ["--checkpoints", "200", "--m", "1,2,1"]])
+def test_weyl_repeats_are_config_errors(tmp_path, flags):
+    code = cli.main(["weyl", "--gen", "cantor3", "--b", "2", "--samples", "1",
+                     "--seed", "3", "--out", str(tmp_path), *flags])
+    assert code == 2
+    assert not (tmp_path / "weyl.csv").exists()
+
+
 def test_fourier_cert_quick(tmp_path):
     code = cli.main(["fourier-cert", "--battery", "quick", "--seed", "3",
                      "--out", str(tmp_path)])

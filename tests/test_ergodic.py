@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from hostlab.adic import exp_weyl_bound_check
 from hostlab.errors import InputError
 from hostlab.ergodic import (
     DigitFunction,
@@ -15,10 +14,10 @@ from hostlab.ergodic import (
     martingale_avg_experiment,
     operationally_irrational,
     parity_window,
-    split_index_average,
     time_change_joint_experiment,
 )
 from hostlab.measures import bernoulli, cantor3, markov, uniform
+from oracles import exp_weyl_bound_check, split_index_average
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 LOG23 = math.log(2) / math.log(3)

@@ -6,6 +6,7 @@ import pytest
 from hostlab.errors import InputError, QuadratureError
 from hostlab.fourier import (
     SmoothingParams,
+    _ft_structured,
     c1_bound_check,
     c1_certificate,
     c1_default_battery,
@@ -20,7 +21,7 @@ from hostlab.fourier import (
     smoothing_certificate,
     smoothing_rhs,
 )
-from hostlab.measures import AdicMeasure, cantor3, realize, uniform
+from hostlab.measures import AdicMeasure, bernoulli, cantor3, realize, uniform
 from oracles import cantor_transform, mc_scaled_sq, wrapped_transform
 
 TAU = 2.0 * math.pi
@@ -81,6 +82,14 @@ def test_structured_path_matches_dense_atom_sum():
         assert plain.structure is None
         diff = np.abs(ft_adic_many(mu, xis) - ft_adic_many(plain, xis))
         assert np.max(diff) < 1e-11
+
+
+def test_structured_transform_needs_no_weights():
+    # the controls' invariant-measure transform: same arithmetic, no 2^20 weights
+    gen = bernoulli(2, [0.25, 0.75])
+    xis = np.array([1.0, -3.5])
+    assert np.array_equal(_ft_structured(2, 20, ("product", gen.p, 20), xis),
+                          ft_adic_many(realize(gen, 20), xis))
 
 
 def test_conjugate_symmetry():

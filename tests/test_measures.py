@@ -12,7 +12,6 @@ from hostlab.measures import (
     PastWord,
     bernoulli,
     cantor3,
-    coarsen,
     conditional_on_past,
     correlation_integral,
     cylinder_condition,
@@ -23,7 +22,6 @@ from hostlab.measures import (
     measure_from_csv,
     measure_to_csv,
     realize,
-    refine,
     sample_digits,
     sample_past,
     shift_push,
@@ -31,7 +29,7 @@ from hostlab.measures import (
     verify_equivariance,
     word,
 )
-from oracles import brute_correlation
+from oracles import brute_correlation, coarsen, refine
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 

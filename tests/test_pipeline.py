@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hostlab.adic import kronecker_schedule, make_point_from_digits
+from hostlab.adic import PrecisionBudget, kronecker_schedule, make_point_from_digits
 from hostlab.errors import InputError, NullCylinderError, PrecisionError
 from hostlab.fourier import SmoothingParams, ft_adic_many, scaled_sq_integral
 from hostlab.measures import (
@@ -17,13 +17,15 @@ from hostlab.measures import (
     uniform,
 )
 from hostlab.pipeline import (
+    _CHUNK,
     HostExperimentConfig,
+    _orbit_readout_chunks,
     host_experiment,
     orbit_vs_conditional_compare,
     proof_chain_quantity,
     weyl_sum,
 )
-from oracles import direct_pushforward_transform
+from oracles import direct_pushforward_transform, orbit_character_sums, orbit_readouts
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 
@@ -73,6 +75,66 @@ def test_weyl_conjugate_symmetry_and_bound():
     assert np.all(np.abs(acc.values) <= 1.0 + 1e-12)
     for N in (100, 1000):
         assert abs(acc.value(N, -1) - np.conj(acc.value(N, 1))) < 1e-12
+
+
+def _budget_point(a, b, N, seed):
+    L = PrecisionBudget.plan(a, b, N).L
+    return make_point_from_digits(a, np.random.default_rng(seed).integers(0, a, L))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [2, 3, 5])
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 6, 10])
+def test_orbit_readouts_match_per_step_loop(a, b):
+    N = 2 * _CHUNK + 37                 # two carries between blocks
+    x = _budget_point(a, b, N, seed=10 * a + b)
+    got = np.concatenate(list(_orbit_readout_chunks(x.numerator, x.denominator, b, N)))
+    assert np.array_equal(got, orbit_readouts(x.numerator, x.denominator, b, N))
+
+
+@pytest.mark.filterwarnings("error")
+def test_orbit_readouts_edge_cases():
+    zero = make_point_from_digits(3, [0] * 80)
+    got = np.concatenate(list(_orbit_readout_chunks(0, zero.denominator, 2, 5)))
+    assert np.array_equal(got, np.zeros(5, dtype=np.uint64))
+    for a, b in ((2, 2), (3, 3), (2, 4), (3, 2)):
+        x = _budget_point(a, b, 1, seed=a * b)
+        got = np.concatenate(list(_orbit_readout_chunks(x.numerator, x.denominator, b, 1)))
+        assert got.tolist() == orbit_readouts(x.numerator, x.denominator, b, 1)
+    acc = weyl_sum(zero, 2, freqs=(1, 2), checkpoints=(1, 3))
+    assert np.array_equal(acc.values, np.ones((2, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b", [(3, 2), (2, 3), (2, 2)])
+def test_weyl_averages_match_per_step_loop_across_chunk_boundary(a, b):
+    cps = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+    freqs = (1, -2, 3)
+    x = _budget_point(a, b, cps[-1], seed=a + 7 * b)
+    acc = weyl_sum(x, b, freqs=freqs, checkpoints=cps)
+    want = orbit_character_sums(x.numerator, x.denominator, b, freqs, cps)
+    assert np.max(np.abs(acc.values - want)) < 1e-12
+
+
+def test_weyl_rejects_repeated_checkpoints_and_frequencies():
+    x = make_point_from_digits(2, [1, 0] * 150)
+    with pytest.raises(InputError):
+        weyl_sum(x, 2, freqs=(1,), checkpoints=(100, 100, 200))
+    with pytest.raises(InputError):
+        weyl_sum(x, 2, freqs=(1, 2, 1), checkpoints=(100,))
+    with pytest.raises(InputError):
+        HostExperimentConfig(gen=cantor3(), b=2, seed=1, checkpoints=(100, 100))
+    with pytest.raises(InputError):
+        HostExperimentConfig(gen=cantor3(), b=2, seed=1, freqs=(2, 2))
+
+
+def test_host_experiment_labels_unsorted_checkpoints():
+    kw = dict(gen=cantor3(), b=2, seed=5, samples=2, freqs=(1, 2))
+    shuffled = host_experiment(HostExperimentConfig(checkpoints=(2000, 100), **kw))
+    ordered = host_experiment(HostExperimentConfig(checkpoints=(100, 2000), **kw))
+    assert shuffled.config.checkpoints == (100, 2000)
+    assert shuffled.rows == ordered.rows
+    assert shuffled.medians == ordered.medians
 
 
 def test_compare_rejects_zero_frequency():
