@@ -38,6 +38,7 @@ from .measures import (
     correlation_integral,
     cylinder_condition,
     entropy,
+    equivariance_gap,
     ifs_digits,
     markov,
     realize,

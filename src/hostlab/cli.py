@@ -379,12 +379,8 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
             start = past.symbols[0] if gen.kind == measures.MARKOV else None
             digits = measures.sample_digits(gen, wlen, rng, start=start)
             N = wlen + int(rng.integers(2, 6))
-            lhs = measures.cylinder_condition(
-                measures.conditional_on_past(gen, past, N),
-                measures.word(gen.base, digits))
-            rhs = measures.conditional_on_past(gen, past.extended_by(digits),
-                                               N - wlen)
-            diff = float(np.max(np.abs(lhs.weights - rhs.weights)))
+            diff = measures.equivariance_gap(gen, past,
+                                             measures.word(gen.base, digits), N)
             ok = diff <= 1e-12
             all_ok &= ok
             rows.append((name.strip(), trial, len(past.symbols), wlen, diff, ok))

@@ -16,10 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .measures import BERNOULLI, IFS_DIGITS, MARKOV, MeasureGen, realize, sample_digits
-
-
-def _derive_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+from .reports import derive_rng
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ def martingale_avg_experiment(proc: SymbolicProcess, f: WindowFunction,
     k = f.window
 
     def one_trial(trial: int) -> float:
-        rng = _derive_rng(proc.seed, trial)
+        rng = derive_rng(proc.seed, trial)
         digits = sample_digits(gen, N + k, rng)
         words = _word_indices(digits, k, gen.base)
         f_vals = f.table[words[1:N + 1]]
@@ -240,7 +237,7 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
     phases = np.exp(2j * np.pi * theta * np.outer(np.asarray(js, float), ns))
 
     def one_sample(i: int) -> np.ndarray:
-        rng = _derive_rng(seed, i)
+        rng = derive_rng(seed, i)
         digits = sample_digits(gen, need, rng)
         out = np.empty((len(js), len(gs)), dtype=np.complex128)
         for gi, g in enumerate(gs):

@@ -237,24 +237,34 @@ class AdicMeasure:
         return float(self.base) ** -self.level
 
 
-def realize(gen: MeasureGen, n: int) -> AdicMeasure:
-    """Level-n weights: each digit word gets its generator cylinder probability."""
+def _check_level(a: int, n: int) -> None:
     if n < 1:
         raise InputError("level must be >= 1")
-    a = gen.base
     if a ** n > MAX_WEIGHT_ENTRIES:
         raise ResourceError(f"a^n = {a}**{n} exceeds the weight-vector budget")
-    if gen.kind in (BERNOULLI, IFS_DIGITS):
-        w = gen.p.copy()
-        for _ in range(n - 1):
-            w = (w[:, None] * gen.p[None, :]).ravel()
-        return AdicMeasure(base=a, level=n, weights=w,
-                           structure=("product", gen.p, n))
-    w = gen.pi.copy()
+
+
+def _chain_measure(gen: MeasureGen, init: np.ndarray, n: int) -> AdicMeasure:
+    """Level-n weights of the chain started from the digit law `init`."""
+    a = gen.base
+    _check_level(a, n)
+    w = init.copy()
     for _ in range(n - 1):
         w = (w.reshape(-1, a)[:, :, None] * gen.P[None, :, :]).reshape(-1)
     return AdicMeasure(base=a, level=n, weights=w,
-                       structure=("chain", gen.pi, gen.P, n))
+                       structure=("chain", init, gen.P, n))
+
+
+def realize(gen: MeasureGen, n: int) -> AdicMeasure:
+    """Level-n weights: each digit word gets its generator cylinder probability."""
+    if gen.kind == MARKOV:
+        return _chain_measure(gen, gen.pi, n)
+    _check_level(gen.base, n)
+    w = gen.p.copy()
+    for _ in range(n - 1):
+        w = (w[:, None] * gen.p[None, :]).ravel()
+    return AdicMeasure(base=gen.base, level=n, weights=w,
+                       structure=("product", gen.p, n))
 
 
 def conditional_on_past(gen: MeasureGen, past: PastWord, n: int) -> AdicMeasure:
@@ -269,17 +279,7 @@ def conditional_on_past(gen: MeasureGen, past: PastWord, n: int) -> AdicMeasure:
         return realize(gen, n)
     if not past.symbols:
         raise InputError("Markov conditioning requires a nonempty past")
-    if n < 1:
-        raise InputError("level must be >= 1")
-    a = gen.base
-    if a ** n > MAX_WEIGHT_ENTRIES:
-        raise ResourceError(f"a^n = {a}**{n} exceeds the weight-vector budget")
-    init = gen.P[past.symbols[0]]
-    w = init.copy()
-    for _ in range(n - 1):
-        w = (w.reshape(-1, a)[:, :, None] * gen.P[None, :, :]).reshape(-1)
-    return AdicMeasure(base=a, level=n, weights=w,
-                       structure=("chain", init, gen.P, n))
+    return _chain_measure(gen, gen.P[past.symbols[0]], n)
 
 
 def cylinder_condition(mu: AdicMeasure, w: CylinderWord) -> AdicMeasure:
@@ -314,19 +314,23 @@ def shift_push(mu: AdicMeasure, j: int) -> AdicMeasure:
     return AdicMeasure(base=mu.base, level=mu.level - j, weights=w)
 
 
-def verify_equivariance(gen: MeasureGen, past: PastWord, w: CylinderWord,
-                        N: int, tol: float = 1e-12) -> bool:
-    """Check that conditioning-then-shifting equals shifting the past.
-
-    Both routes produce a level-(N - len(w)) measure; True iff they agree
-    entrywise within tol.
-    """
+def equivariance_gap(gen: MeasureGen, past: PastWord, w: CylinderWord,
+                     N: int) -> float:
+    """Largest entrywise difference between conditioning-then-shifting
+    (the level-N conditional restricted to w) and shifting the past by w;
+    both routes give a level-(N - len(w)) measure."""
     n = len(w)
     if N <= n:
         raise InputError("N must exceed the cylinder length")
     lhs = cylinder_condition(conditional_on_past(gen, past, N), w)
     rhs = conditional_on_past(gen, past.extended_by(w.digits), N - n)
-    return bool(np.max(np.abs(lhs.weights - rhs.weights)) <= tol)
+    return float(np.max(np.abs(lhs.weights - rhs.weights)))
+
+
+def verify_equivariance(gen: MeasureGen, past: PastWord, w: CylinderWord,
+                        N: int, tol: float = 1e-12) -> bool:
+    """True iff the two routes of `equivariance_gap` agree within tol."""
+    return equivariance_gap(gen, past, w, N) <= tol
 
 
 # ---------------------------------------------------------------------------

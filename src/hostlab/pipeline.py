@@ -7,7 +7,9 @@ full orbit length; nothing is silently degraded to floats.  Each orbit point
 T_b^n x is read out as r_n = floor(2^53 frac(b^n x)), exactly, from one big
 division and the base-b digit stream of its quotient; only the characters
 e(m r_n 2^-53) are floats, so a Weyl average is within O(m 2^-53) of the
-exact one.
+exact one.  The comparison reuses that stream: its cylinder phases are
+floats built from r_n and the digits of x, within O(m a^(k+1) 2^-53) of the
+exact ones.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .adic import (
     multiplicatively_dependent,
 )
 from .errors import InputError, NullCylinderError, PrecisionError
-from .fourier import SmoothingParams, ft_adic_many, scaled_sq_integral
+from .fourier import TAU, SmoothingParams, ft_adic_many, scaled_sq_integral
 from .measures import (
     MARKOV,
-    MAX_WEIGHT_ENTRIES,
     MeasureGen,
     PastWord,
     conditional_on_past,
@@ -40,12 +41,7 @@ from .measures import (
     sample_digits,
     sample_past,
 )
-
-TAU = 2.0 * math.pi
-
-
-def _derive_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+from .reports import derive_rng
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +89,15 @@ def _orbit_readout_chunks(num: int, mod: int, b: int, N: int):
         yield v & np.uint64((1 << 53) - 1)
 
 
-def _orbit_character_sums(num: int, mod: int, b: int, freqs, checkpoints):
-    """Averages (1/N) sum_(n<=N) e(m T_b^n x), x = num/mod, at each ascending
-    checkpoint N (rows) and m in `freqs` (columns), from the exact read-outs
-    r_n: e_m is evaluated at r_n 2^-53, so each is within O(m 2^-53)."""
+def _orbit_character_sums(blocks, freqs, checkpoints):
+    """Averages (1/N) sum_(n<=N) e(m T_b^n x) at each ascending checkpoint N
+    (rows) and m in `freqs` (columns), from the `_orbit_readout_chunks` blocks
+    of read-outs r_n: e_m is evaluated at r_n 2^-53, so each is within O(m 2^-53)."""
     taus = TAU * np.asarray(freqs, dtype=np.float64)
     out = np.empty((len(checkpoints), len(taus)), dtype=np.complex128)
     total = np.zeros(len(taus), dtype=np.complex128)
     ci, done = 0, 0
-    for r in _orbit_readout_chunks(num, mod, b, checkpoints[-1]):
+    for r in blocks:
         ang = np.multiply.outer(taus, r * 2.0 ** -53)
         ph = np.empty(ang.shape, dtype=np.complex128)
         np.cos(ang, out=ph.real)
@@ -145,7 +141,9 @@ def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints,
         raise PrecisionError(
             f"point precision {x.precision} below budget {budget.L} "
             f"for N={checkpoints[-1]}")
-    vals = _orbit_character_sums(x.numerator, x.denominator, b, freqs, checkpoints)
+    vals = _orbit_character_sums(
+        _orbit_readout_chunks(x.numerator, x.denominator, b, checkpoints[-1]),
+        freqs, checkpoints)
     return WeylAccumulator(freqs=freqs, checkpoints=checkpoints, values=vals)
 
 
@@ -165,15 +163,11 @@ class CompareResult:
     m: int
 
 
-def _support_chain_ok(gen: MeasureGen, past: PastWord, digits) -> bool:
+def _support_chain_ok(gen: MeasureGen, past: PastWord, digits: np.ndarray) -> bool:
     if gen.kind == MARKOV:
-        prev = past.symbols[0]
-        for d in digits:
-            if gen.P[prev, d] <= 0.0:
-                return False
-            prev = d
-        return True
-    return all(gen.p[d] > 0.0 for d in digits)
+        prev = np.concatenate(([past.symbols[0]], digits[:-1]))
+        return bool(np.all(gen.P[prev, digits] > 0.0))
+    return bool(np.all(gen.p[digits] > 0.0))
 
 
 def _conditional_cache(gen: MeasureGen, past: PastWord, level: int):
@@ -192,11 +186,16 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     conditional-measure transforms.
 
     Each conditional term is the transform of the current scaled conditional
-    measure at frequency m * a^(k + z_n), times the exact cylinder-position
+    measure at frequency xi_n = m * a^(k + z_n), times the cylinder-position
     phase e(m * a^k * b^n * K_n / a^(n')), K_n the integer of the first n'
     digits of x.  The phase makes the term equal the transform of the direct
-    n-step pushforward (without it only the moduli agree); it is computed in
-    exact integer arithmetic via a^(z_n) = b^n / a^(n').
+    n-step pushforward (without it only the moduli agree).  Writing
+    x = (K_n + t_n) / a^(n') and a^(z_n) = b^n / a^(n'), the phase is
+    frac(m r_n 2^-53 - xi_n t_n), with r_n the exact read-out of T_b^n T_a^k x
+    from the orbit side's own stream and t_n summed from J digits of x past
+    n' (a^-J < 2^-53 / a).  It is within O(m a^(k+1) 2^-53) of the exact
+    phase, the order of the float error xi_n already carries.  A level over
+    the weight budget raises ResourceError before any orbit work.
     """
     a = gen.base
     if m == 0:
@@ -209,66 +208,39 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
         raise InputError("past base differs from generator base")
 
     sched = kronecker_schedule(a, b, N)
-    np_max = sched.nprime(N)
     budget = PrecisionBudget.plan(a, b, N)
     if x.precision < budget.L + k:
         raise PrecisionError(
             f"point precision {x.precision} below {budget.L + k} needed "
             f"for N={N}, k={k}")
-
     if level is None:
-        extra = max(4, math.ceil(math.log(512 * abs(m)) / math.log(a)))
-        level = k + extra
-    if a ** level > MAX_WEIGHT_ENTRIES:
-        raise InputError(f"conditional level {level} exceeds the weight budget")
+        level = k + max(4, math.ceil(math.log(512 * abs(m)) / math.log(a)))
+    cache = _conditional_cache(gen, past, level)
 
-    xdig = digits_of(x, max(np_max, 1))
-    if not _support_chain_ok(gen, past, xdig[:np_max]):
+    # the budget's 64 guard digits cover the J tail digits past n'(N)
+    nprime = sched.nprime_table[1:N + 1]
+    J = math.ceil(53 / math.log2(a)) + 1
+    xdig = np.array(digits_of(x, int(nprime[-1]) + J))
+    if not _support_chain_ok(gen, past, xdig[:nprime[-1]]):
         raise NullCylinderError("point digits leave the generator's support")
 
-    # orbit side
     y = mul_mod1(x, a ** k)
-    orbit_avg = complex(_orbit_character_sums(
-        y.numerator, y.denominator, b, (m,), (N,))[0, 0])
+    blocks = list(_orbit_readout_chunks(y.numerator, y.denominator, b, N))
+    orbit_avg = complex(_orbit_character_sums(blocks, (m,), (N,))[0, 0])
 
-    # conditional side
-    cache = _conditional_cache(gen, past, level)
-    states = np.empty(N + 1, dtype=np.int64)
+    tails = np.zeros(len(xdig) - J + 1)           # t for every n' = 0..n'(N)
+    for j in range(J, 0, -1):
+        tails = (tails + xdig[j - 1:len(xdig) - J + j]) / a
+    xis = m * float(a) ** k * np.power(float(a), sched.z_table[1:N + 1])
+    phases = m * (np.concatenate(blocks) * 2.0 ** -53) - xis * tails[nprime]
+    phases -= np.floor(phases)                # before scaling by 2 pi
+
     state0 = past.symbols[0] if gen.kind == MARKOV else 0
-    for n in range(1, N + 1):
-        npr = sched.nprime(n)
-        states[n] = xdig[npr - 1] if npr >= 1 else state0
-
-    zs = sched.z_table[1:N + 1]
-    xis = m * float(a) ** k * np.power(float(a), zs)
-
-    # exact fractional parts of m a^k b^n K_n / a^(n'); den and the digit
-    # divisor are maintained incrementally since n' is nondecreasing
-    num_top = x.numerator // a ** (x.precision - np_max) if np_max else 0
-    mod_max = a ** max(np_max, 1)
-    phases = np.empty(N, dtype=np.float64)
-    bn = 1
-    ma_k = m * a ** k
-    den = 1                      # a^(n')
-    drop = a ** np_max           # a^(np_max - n')
-    npr_prev = 0
-    for n in range(1, N + 1):
-        bn = (bn * b) % mod_max
-        npr = sched.nprime(n)
-        for _ in range(npr - npr_prev):
-            den *= a
-            drop //= a
-        npr_prev = npr
-        if npr == 0:
-            phases[n - 1] = 0.0
-            continue
-        K = num_top // drop
-        phases[n - 1] = ((ma_k * (bn % den) * K) % den) / den
-
+    states = np.where(nprime >= 1, xdig[np.maximum(nprime - 1, 0)], state0)
     vals = np.empty(N, dtype=np.complex128)
-    for s in set(int(v) for v in states[1:]):
-        idx = np.flatnonzero(states[1:] == s)
-        vals[idx] = ft_adic_many(cache[s], xis[idx])
+    for s in np.unique(states):
+        idx = np.flatnonzero(states == s)
+        vals[idx] = ft_adic_many(cache[int(s)], xis[idx])
     vals *= np.exp(2j * np.pi * phases)
     cond_avg = complex(vals.mean())
 
@@ -325,8 +297,6 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
     r = float(a) ** (-k / 2.0)
     if level is None:
         level = max(math.ceil(k / 2.0 + math.log(16.0) / math.log(a)) + 2, 8)
-    if a ** level > MAX_WEIGHT_ENTRIES:
-        raise InputError(f"level {level} exceeds the weight budget")
 
     prescale = float(a) ** k
     params = SmoothingParams(b_scale=float(a), m=m, r=r)
@@ -345,7 +315,7 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
     lhs_vals = np.empty(samples)
     corr_vals = np.empty(samples)
     for i in range(samples):
-        rng = _derive_rng(seed, k, m, i)
+        rng = derive_rng(seed, k, m, i)
         past = sample_past(gen, length=past_length, rng=rng)
         key = past.symbols[0] if gen.kind == MARKOV else -1
         lhs_vals[i], corr_vals[i] = values_for(key, past)
@@ -421,7 +391,7 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     L = budget.L + cfg.k
 
     def run_sample(i: int):
-        rng = _derive_rng(cfg.seed, i)
+        rng = derive_rng(cfg.seed, i)
         digits = sample_digits(gen, L, rng)
         x = make_point_from_digits(a, digits)
         if cfg.k:

@@ -50,15 +50,18 @@ def write_json(path, obj) -> None:
 
 
 def version_string() -> str:
+    # imported here: this module loads while the package __init__ still runs
+    from . import __version__
+
     root = Path(__file__).resolve().parents[2]
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              cwd=root, capture_output=True, text=True, timeout=5)
         if out.returncode == 0 and out.stdout.strip():
-            return f"hostlab-0.1.0+g{out.stdout.strip()}"
+            return f"hostlab-{__version__}+g{out.stdout.strip()}"
     except (OSError, subprocess.SubprocessError):
         pass
-    return "hostlab-0.1.0"
+    return f"hostlab-{__version__}"
 
 
 def thread_count() -> int:

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+import hostlab
 from hostlab import cli
-from hostlab.reports import CSV_MAGIC, parallel_map, thread_count
+from hostlab.reports import CSV_MAGIC, parallel_map, thread_count, version_string
 
 
 def run(argv, monkeypatch=None, threads=None):
@@ -116,6 +117,17 @@ def test_proof_chain_quick(tmp_path):
     summary = json.loads((tmp_path / "proof_chain_summary.json").read_text())
     assert summary["all_bounded"] is True
     assert summary["values"][1] < summary["values"][0]
+
+
+def test_proof_chain_level_over_weight_budget_exits_3(tmp_path):
+    code = cli.main(["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", "0",
+                     "--samples", "2", "--level", "30", "--seed", "9",
+                     "--out", str(tmp_path)])
+    assert code == 3
+
+
+def test_version_string_names_package_version():
+    assert version_string().startswith(f"hostlab-{hostlab.__version__}")
 
 
 def test_martingale_run(tmp_path):

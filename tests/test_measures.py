@@ -16,6 +16,7 @@ from hostlab.measures import (
     correlation_integral,
     cylinder_condition,
     entropy,
+    equivariance_gap,
     gen_from_json,
     gen_to_json,
     markov,
@@ -194,6 +195,17 @@ def test_equivariance_examples():
     assert verify_equivariance(mgen, PastWord(2, (0,)), word(2, [1]), 6)
     with pytest.raises(NullCylinderError):
         verify_equivariance(cantor3(), PastWord(3, (0,)), word(3, [1]), 5)
+
+
+def test_equivariance_gap_is_the_verified_quantity():
+    gen, past, w = markov(MARKOV_P), PastWord(2, (1, 0)), word(2, [0, 1])
+    lhs = cylinder_condition(conditional_on_past(gen, past, 7), w)
+    rhs = conditional_on_past(gen, past.extended_by(w.digits), 5)
+    gap = equivariance_gap(gen, past, w, 7)
+    assert gap == float(np.max(np.abs(lhs.weights - rhs.weights))) <= 1e-12
+    assert verify_equivariance(gen, past, w, 7, tol=gap)
+    with pytest.raises(InputError):
+        equivariance_gap(gen, past, w, 2)
 
 
 def test_equivariance_random_battery():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hostlab.adic import PrecisionBudget, kronecker_schedule, make_point_from_digits
-from hostlab.errors import InputError, NullCylinderError, PrecisionError
+from hostlab.errors import InputError, NullCylinderError, PrecisionError, ResourceError
 from hostlab.fourier import SmoothingParams, ft_adic_many, scaled_sq_integral
 from hostlab.measures import (
     PastWord,
@@ -25,7 +25,12 @@ from hostlab.pipeline import (
     proof_chain_quantity,
     weyl_sum,
 )
-from oracles import direct_pushforward_transform, orbit_character_sums, orbit_readouts
+from oracles import (
+    compare_reference,
+    direct_pushforward_transform,
+    orbit_character_sums,
+    orbit_readouts,
+)
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 
@@ -175,6 +180,39 @@ def test_compare_cantor_gap_small():
     # the bound chain: the averaged transform dominates its average modulus-wise
     assert abs(res.cond_avg) <= res.cond_abs_avg + 1e-15
     assert abs(res.orbit_avg) <= res.cond_abs_avg + res.gap + 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["cantor3", "markov"])
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("N", [1, 1000, 4000])
+def test_compare_matches_exact_phase_loop(kind, k, m, N):
+    """Every field agrees with the per-step route (exact big-int cylinder
+    phases, step-by-step orbit sums); N = 4000 crosses a read-out block."""
+    gen, b, past = ((cantor3(), 2, PastWord(3, (0,))) if kind == "cantor3"
+                    else (markov(MARKOV_P), 3, PastWord(2, (1,))))
+    a = gen.base
+    L = PrecisionBudget.plan(a, b, N).L + k
+    start = past.symbols[0] if kind == "markov" else None
+    rng = np.random.default_rng(100 * k + m)
+    x = make_point_from_digits(a, sample_digits(gen, L, rng, start=start))
+    level = k + 6
+    res = orbit_vs_conditional_compare(gen, past, x, b, k, m, N, level=level)
+    want = compare_reference(gen, past, x, b, k, m, N, level)
+    got = (res.orbit_avg, res.cond_avg, res.cond_abs_avg, res.gap)
+    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
+    assert (res.N, res.k, res.m) == (N, k, m)
+
+
+def test_level_over_weight_budget_is_resource_error():
+    gen = cantor3()
+    x = make_point_from_digits(3, sample_digits(gen, 200, np.random.default_rng(3)))
+    with pytest.raises(ResourceError, match="weight-vector budget"):
+        orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=0, m=1,
+                                     N=50, level=30)
+    with pytest.raises(ResourceError, match="weight-vector budget"):
+        proof_chain_quantity(gen, b=2, k=0, m=1, samples=2, level=30, seed=1)
 
 
 def test_lifting_identity_direct_vs_schedule():
