@@ -134,15 +134,6 @@ def to_real(x: UnitPoint, bits: int = 53) -> float:
     return q / float(1 << bits)
 
 
-def point_to_config(x: UnitPoint) -> dict:
-    """Reproducibility-log form: numerator as a decimal string."""
-    return {"base": x.base, "L": x.precision, "numerator": str(x.numerator)}
-
-
-def point_from_config(cfg: dict) -> UnitPoint:
-    return UnitPoint(int(cfg["base"]), int(cfg["L"]), int(cfg["numerator"]))
-
-
 # ---------------------------------------------------------------------------
 # Precision budget
 # ---------------------------------------------------------------------------
@@ -184,6 +175,13 @@ class PrecisionBudget:
 # ---------------------------------------------------------------------------
 # Time-change schedule
 # ---------------------------------------------------------------------------
+
+def _floor_multiples(num: int, den: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """floor(num*n/den) and num*n mod den for n = 0..N, as object arrays of
+    exact Python ints (the one floor routine behind every schedule)."""
+    prod = np.arange(N + 1, dtype=object) * num
+    return prod // den, prod % den
+
 
 def _primitive_power_base(n: int) -> tuple[int, int]:
     """Smallest c with c**k == n; returns (c, k)."""
@@ -237,40 +235,28 @@ def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> Kroneck
     if float_bits < 110:
         raise InputError("float_bits must be >= 110 (floor guard is 2^-100)")
 
-    nprime = np.zeros(N + 1, dtype=np.int64)
-    z = np.zeros(N + 1, dtype=np.float64)
-
     ca, pa = _primitive_power_base(a)
     cb, pb = _primitive_power_base(b)
     if ca == cb:
-        # alpha = pb/pa exactly
-        q, p = pb, pa
-        ns = np.arange(N + 1, dtype=np.int64)
-        nprime = (q * ns) // p
-        z = ((q * ns) % p).astype(np.float64) / p
+        whole, rem = _floor_multiples(pb, pa, N)      # alpha = pb/pa exactly
         return KroneckerSchedule(a=a, b=b, N=N, float_bits=float_bits,
-                                 alpha=q / p, dependent=True,
-                                 nprime_table=nprime, z_table=z)
+                                 alpha=pb / pa, dependent=True,
+                                 nprime_table=whole.astype(np.int64),
+                                 z_table=rem.astype(np.float64) / pa)
 
     with mpmath.workprec(float_bits + 48):
         alpha_mp = mpmath.log(b) / mpmath.log(a)
         scaled = int(mpmath.floor(alpha_mp * mpmath.mpf(2) ** float_bits))
     one = 1 << float_bits
     guard = 1 << (float_bits - 100)
-    acc = 0            # scaled * n mod 2^float_bits
-    whole = 0          # floor(scaled * n / 2^float_bits)
+    whole, rem = _floor_multiples(scaled, one, N)
+    bad = np.flatnonzero((rem[1:] < guard) | (one - rem[1:] < guard))
+    if len(bad):
+        raise PrecisionError(
+            f"floor of alpha*{int(bad[0]) + 1} ambiguous at {float_bits} bits; "
+            "increase float_bits")
     inv = 1.0 / one
-    for n in range(1, N + 1):
-        acc += scaled
-        if acc >= one:
-            carry, acc = divmod(acc, one)
-            whole += carry
-        if acc < guard or one - acc < guard:
-            raise PrecisionError(
-                f"floor of alpha*{n} ambiguous at {float_bits} bits; "
-                "increase float_bits")
-        nprime[n] = whole
-        z[n] = acc * inv
     return KroneckerSchedule(a=a, b=b, N=N, float_bits=float_bits,
                              alpha=scaled * inv, dependent=False,
-                             nprime_table=nprime, z_table=z)
+                             nprime_table=whole.astype(np.int64),
+                             z_table=rem.astype(np.float64) * inv)

@@ -132,7 +132,7 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
         soft_final_threshold=float(opts.get("soft_median_threshold")),
         label=str(opts.get("label") or ""),
     )
-    rep = pipeline.host_experiment(cfg, parallel_map=reports.parallel_map)
+    rep = pipeline.host_experiment(cfg)
     reports.write_csv(out_dir / "weyl.csv",
                       ["sample", "m", "N", "re", "im", "abs"], rep.rows)
     if opts.get("dat"):
@@ -269,8 +269,7 @@ def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     f = _window_function(gen, str(opts.get("window_func")), window)
     proc = ergodic.SymbolicProcess(gen=gen, seed=seed)
 
-    vals = ergodic.martingale_avg_experiment(proc, f, N=N, trials=trials,
-                                             parallel_map=reports.parallel_map)
+    vals = ergodic.martingale_avg_experiment(proc, f, N=N, trials=trials)
     reports.write_csv(out_dir / "martingale.csv",
                       ["trial", "N", "value"],
                       [(t, N, float(v)) for t, v in enumerate(vals)])
@@ -281,8 +280,7 @@ def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
     ratio = None
     if opts.get("with_ratio"):
-        vals4 = ergodic.martingale_avg_experiment(proc, f, N=4 * N, trials=trials,
-                                                  parallel_map=reports.parallel_map)
+        vals4 = ergodic.martingale_avg_experiment(proc, f, N=4 * N, trials=trials)
         reports.write_csv(out_dir / "martingale_4N.csv",
                           ["trial", "N", "value"],
                           [(t, 4 * N, float(v)) for t, v in enumerate(vals4)])
@@ -330,8 +328,7 @@ def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     M = int(opts.get("M"))
 
     res = ergodic.time_change_joint_experiment(
-        theta, beta, gen, js=js, gs=gs, N=N, M=M, seed=seed,
-        parallel_map=reports.parallel_map)
+        theta, beta, gen, js=js, gs=gs, N=N, M=M, seed=seed)
     rows = []
     for ji, j in enumerate(res.js):
         for gi, label in enumerate(res.g_labels):
@@ -410,14 +407,14 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
             gen=gen, b=b, seed=seed, samples=int(opts.get("samples")),
             checkpoints=(10_000, 100_000), freqs=(1,),
             label="negative-control-dependent")
-        rep = pipeline.host_experiment(cfg, parallel_map=reports.parallel_map)
+        rep = pipeline.host_experiment(cfg)
         # transform of realize(gen, 20), from its product structure alone
         mu_hat = complex(fourier._ft_structured(
             gen.base, 20, ("product", gen.p, 20), [1.0])[0])
         final_N = cfg.checkpoints[-1]
+        ws = {(r[0], r[1], r[2]): complex(r[3], r[4]) for r in rep.rows}
         for s in range(cfg.samples):
-            w = next(complex(r[3], r[4]) for r in rep.rows
-                     if r[0] == s and r[1] == 1 and r[2] == final_N)
+            w = ws[s, 1, final_N]
             err = abs(w - mu_hat)
             ok = err < 0.05
             if not ok:
@@ -572,6 +569,7 @@ def main(argv=None) -> int:
             args.checkpoints = ",".join(map(str, cps))
         opts = Options(args, DEFAULTS[sub])
         opts.require("seed")
+        reports.thread_count()      # a bad HOSTLAB_THREADS is exit 2 on any subcommand
         out_dir = Path(opts.get("out") or "hostlab-out")
         out_dir.mkdir(parents=True, exist_ok=True)
         warnings: list[str] = []

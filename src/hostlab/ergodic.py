@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .adic import _floor_multiples
 from .errors import InputError
 from .measures import BERNOULLI, IFS_DIGITS, MARKOV, MeasureGen, realize, sample_digits
 from .reports import derive_rng
@@ -103,8 +104,7 @@ def _word_indices(digits: np.ndarray, k: int, base: int) -> np.ndarray:
 
 
 def martingale_avg_experiment(proc: SymbolicProcess, f: WindowFunction,
-                              N: int, trials: int,
-                              parallel_map=map) -> np.ndarray:
+                              N: int, trials: int) -> np.ndarray:
     """Per-trial values of the length-N Cesaro average of f_n - E(f_n | first n digits).
 
     f_n reads the digits at positions n+1 .. n+window; its conditional
@@ -127,7 +127,7 @@ def martingale_avg_experiment(proc: SymbolicProcess, f: WindowFunction,
         cond_vals = cond[digits[0:N]]
         return float(np.mean(f_vals - cond_vals))
 
-    return np.asarray(list(parallel_map(one_trial, range(trials))))
+    return np.asarray([one_trial(t) for t in range(trials)])
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +178,6 @@ def operationally_irrational(theta: float, q_max: int = 10 ** 6,
     return abs(theta - float(frac)) >= tol
 
 
-def _exact_floors(beta: float, N: int) -> np.ndarray:
-    """floor(beta * n) for n = 0..N, exact for the dyadic rational float beta."""
-    num, den = float(beta).as_integer_ratio()
-    return np.asarray([(num * n) // den for n in range(N + 1)], dtype=np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class JointEquidistResult:
     theta: float
@@ -206,8 +200,7 @@ class JointEquidistResult:
 
 
 def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
-                                 js, gs, N: int, M: int, seed: int,
-                                 parallel_map=map) -> JointEquidistResult:
+                                 js, gs, N: int, M: int, seed: int) -> JointEquidistResult:
     """Empirical averages A(j, g) of e(j n theta) g(shift^{floor(beta n)} x).
 
     x is sampled from the stationary digit process M times; the predicted
@@ -230,7 +223,8 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
     if any(g.base != gen.base for g in gs):
         raise InputError("test function base differs from the generator")
 
-    offs = _exact_floors(beta, N)[1:]
+    num, den = float(beta).as_integer_ratio()     # floor(beta n) exactly
+    offs = _floor_multiples(num, den, N)[0][1:].astype(np.int64)
     max_window = max(g.window for g in gs)
     need = int(offs[-1]) + max_window
     ns = np.arange(1, N + 1, dtype=np.float64)
@@ -248,7 +242,7 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
             out[:, gi] = phases @ g_vals / N
         return out
 
-    per_sample = np.asarray(list(parallel_map(one_sample, range(M))))
+    per_sample = np.asarray([one_sample(i) for i in range(M)])
     averages = per_sample.mean(axis=0)
 
     expected = np.zeros_like(averages)

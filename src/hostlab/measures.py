@@ -9,8 +9,6 @@ the half-open interval [k/a^n, (k+1)/a^n) and is read as piecewise uniform.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,31 +123,6 @@ def entropy(gen: MeasureGen) -> float:
         return h(gen.p)
     rows = np.array([h(row) for row in gen.P])
     return float(gen.pi @ rows)
-
-
-def gen_to_config(gen: MeasureGen) -> dict:
-    cfg = {"kind": gen.kind, "a": gen.base}
-    if gen.kind == MARKOV:
-        cfg["P"] = [[float(x) for x in row] for row in gen.P]
-        cfg["pi"] = [float(x) for x in gen.pi]
-    elif gen.kind == IFS_DIGITS:
-        cfg["digits"] = list(gen.digits)
-        cfg["weights"] = [float(gen.p[d]) for d in gen.digits]
-    else:
-        cfg["p"] = [float(x) for x in gen.p]
-    return cfg
-
-
-def gen_from_config(cfg: dict) -> MeasureGen:
-    kind = cfg["kind"]
-    a = int(cfg["a"])
-    if kind == BERNOULLI:
-        return bernoulli(a, cfg["p"])
-    if kind == MARKOV:
-        return markov(cfg["P"], cfg.get("pi"))
-    if kind == IFS_DIGITS:
-        return ifs_digits(a, cfg["digits"], cfg.get("weights"))
-    raise InputError(f"unknown generator kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,37 +383,3 @@ def sample_past(gen: MeasureGen, length: int, rng: np.random.Generator) -> PastW
     """Stationary past of the given length (most recent symbol first)."""
     digits = sample_digits(gen, length, rng)
     return PastWord(gen.base, tuple(int(d) for d in digits[::-1]))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def measure_to_csv(mu: AdicMeasure, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# hostlab-csv v1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "weight"])
-        for k, wk in enumerate(mu.weights):
-            writer.writerow([k, repr(float(wk))])
-
-
-def measure_from_csv(path, base: int) -> AdicMeasure:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh)
-                if row and not row[0].startswith("#") and row[0] != "index"]
-    w = np.zeros(len(rows))
-    for row in rows:
-        w[int(row[0])] = float(row[1])
-    level = round(np.log(len(w)) / np.log(base))
-    if base ** level != len(w):
-        raise InputError("row count is not a power of the base")
-    return AdicMeasure(base=base, level=level, weights=w)
-
-
-def gen_to_json(gen: MeasureGen) -> str:
-    return json.dumps(gen_to_config(gen), sort_keys=True)
-
-
-def gen_from_json(text: str) -> MeasureGen:
-    return gen_from_config(json.loads(text))

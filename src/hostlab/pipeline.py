@@ -206,6 +206,8 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
         raise InputError("need k >= 0 and N >= 1")
     if past.base != a:
         raise InputError("past base differs from generator base")
+    if gen.kind == MARKOV and not past.symbols:
+        raise InputError("Markov conditioning requires a nonempty past")
 
     sched = kronecker_schedule(a, b, N)
     budget = PrecisionBudget.plan(a, b, N)
@@ -376,6 +378,8 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     resolution.  a and b multiplicatively dependent does not abort the run;
     the report is labeled a negative control.  No equidistribution rate is
     asserted here: the decrease/threshold flags are soft and configurable.
+    Samples go through `parallel_map` (default: in order); the CLI keeps the
+    default, because the orbit's big-int work holds the GIL.
     """
     gen, b = cfg.gen, cfg.b
     a = gen.base

@@ -196,6 +196,44 @@ def cylinder_phases(x, b: int, k: int, m: int, sched, N: int) -> np.ndarray:
     return phases
 
 
+def kronecker_tables(a: int, b: int, N: int, float_bits: int = 128):
+    """(n'(n), z(n)) for n = 0..N by the per-step route: an exact q*n // p
+    for dependent (a, b), else a 2^float_bits-scaled accumulator carried one
+    step at a time, raising PrecisionError at the first n whose floor is
+    within 2^-100 of an integer."""
+    import mpmath
+
+    from hostlab.adic import _primitive_power_base
+    from hostlab.errors import PrecisionError
+
+    nprime = np.zeros(N + 1, dtype=np.int64)
+    z = np.zeros(N + 1, dtype=np.float64)
+    ca, pa = _primitive_power_base(a)
+    cb, pb = _primitive_power_base(b)
+    if ca == cb:
+        for n in range(N + 1):
+            nprime[n], rem = divmod(pb * n, pa)
+            z[n] = float(rem) / pa
+        return nprime, z
+    with mpmath.workprec(float_bits + 48):
+        alpha_mp = mpmath.log(b) / mpmath.log(a)
+        scaled = int(mpmath.floor(alpha_mp * mpmath.mpf(2) ** float_bits))
+    one = 1 << float_bits
+    guard = 1 << (float_bits - 100)
+    acc = whole = 0
+    inv = 1.0 / one
+    for n in range(1, N + 1):
+        acc += scaled
+        if acc >= one:
+            carry, acc = divmod(acc, one)
+            whole += carry
+        if acc < guard or one - acc < guard:
+            raise PrecisionError(f"floor of alpha*{n} ambiguous at {float_bits} bits")
+        nprime[n] = whole
+        z[n] = acc * inv
+    return nprime, z
+
+
 def compare_reference(gen, past, x, b: int, k: int, m: int, N: int, level: int):
     """(orbit_avg, cond_avg, cond_abs_avg, gap) of the orbit-versus-conditional
     comparison by per-step routes: the orbit average summed step by step, the

@@ -12,13 +12,12 @@ from hostlab.adic import (
     kronecker_schedule,
     make_point_from_digits,
     mul_mod1,
+    _floor_multiples,
     multiplicatively_dependent,
-    point_from_config,
-    point_to_config,
     to_real,
 )
 from hostlab.errors import InputError, PrecisionError
-from oracles import exp_weyl_bound_check
+from oracles import exp_weyl_bound_check, kronecker_tables
 
 
 def test_make_point_positional_evaluation():
@@ -98,13 +97,6 @@ def test_no_drift_iterated_vs_one_shot():
     assert to_real(x) == to_real(UnitPoint(3, budget.L, one_shot))
 
 
-def test_point_config_roundtrip():
-    x = make_point_from_digits(3, [2, 0, 1, 1])
-    cfg = point_to_config(x)
-    assert cfg["numerator"] == str(x.numerator)
-    assert point_from_config(cfg) == x
-
-
 def test_precision_budget_exact_ceiling():
     budget = PrecisionBudget.plan(3, 2, N_max=1000, guard_digits=64)
     core = budget.L - 64
@@ -157,6 +149,36 @@ def test_kronecker_floor_stability_across_precisions():
     steps = np.diff(s128.nprime_table)
     floor_alpha = math.floor(s128.alpha)
     assert set(np.unique(steps)) <= {floor_alpha, floor_alpha + 1}
+
+
+@pytest.mark.parametrize("a,b,N,bits", [
+    (3, 2, 8000, 128), (2, 3, 20_000, 128), (2, 10, 500, 128), (3, 2, 100_000, 128),
+    (3, 2, 2000, 256), (2, 4, 50, 128), (4, 8, 50, 128)])
+def test_kronecker_schedule_matches_step_loop(a, b, N, bits):
+    sched = kronecker_schedule(a, b, N, float_bits=bits)
+    nprime, z = kronecker_tables(a, b, N, float_bits=bits)
+    assert np.array_equal(sched.nprime_table, nprime)
+    assert sched.nprime_table.dtype == np.int64
+    assert sched.z_table.tobytes() == z.tobytes()
+
+
+def test_kronecker_ambiguous_floor_names_first_n(monkeypatch):
+    # scaled alpha = 2^126 + 1 puts alpha*4 at 4 * 2^-128 past an integer
+    monkeypatch.setattr(mpmath, "floor", lambda v: mpmath.mpf(2 ** 126 + 1))
+    for build in (kronecker_schedule, kronecker_tables):
+        with pytest.raises(PrecisionError, match=r"alpha\*4 ambiguous"):
+            build(3, 2, 10)
+
+
+def test_floor_multiples_exact():
+    N = 10_000
+    for beta in (math.log(2) / math.log(3), math.log(3) / math.log(2),
+                 math.pi, 0.1, 1.0):
+        num, den = beta.as_integer_ratio()
+        whole, rem = _floor_multiples(num, den, N)
+        assert np.array_equal(whole.astype(np.int64),
+                              [(num * n) // den for n in range(N + 1)])
+        assert rem.tolist() == [(num * n) % den for n in range(N + 1)]
 
 
 def test_kronecker_alpha_gt_one_carries():

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import hostlab
-from hostlab import cli
+from hostlab import cli, reports
 from hostlab.reports import CSV_MAGIC, parallel_map, thread_count, version_string
 
 
@@ -187,6 +187,40 @@ def test_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     for name in ("weyl.csv", "weyl_summary.json", "fourier_cert.csv",
                  "c1_cert.csv"):
         assert read_bytes(outs[1] / name) == read_bytes(outs[3] / name), name
+
+
+def test_only_fourier_cert_uses_the_thread_pool(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(fn, items):
+        calls.append(fn)
+        return [fn(it) for it in items]
+
+    monkeypatch.setattr(reports, "parallel_map", spy)
+    markov = "markov:0.9,0.1;0.5,0.5"
+    runs = {
+        "weyl": ["weyl", "--gen", "cantor3", "--b", "2", "--m", "1",
+                 "--checkpoints", "100", "--samples", "2"],
+        "controls": ["controls", "--mode", "dependent", "--samples", "2"],
+        "martingale": ["martingale", "--gen", markov, "--N", "200",
+                       "--trials", "2", "--with-ratio"],
+        "time-change": ["time-change", "--gen", markov, "--theta", "log:2,3",
+                        "--N", "500", "--M", "2"],
+        "fourier-cert": ["fourier-cert", "--battery", "quick"],
+    }
+    for name, argv in runs.items():
+        calls.clear()
+        assert cli.main([*argv, "--seed", "3", "--out", str(tmp_path / name)]) == 0
+        assert bool(calls) == (name == "fourier-cert"), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--gen", "cantor3", "--b", "2", "--samples", "1", "--checkpoints", "100"],
+    ["martingale", "--gen", "bernoulli:0.5,0.5", "--N", "100", "--trials", "2"],
+    ["equivariance", "--pairs", "2"]])
+def test_bad_thread_env_is_config_error_everywhere(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("HOSTLAB_THREADS", "zebra")
+    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 2
 
 
 def test_parallel_map_preserves_order(monkeypatch):

@@ -17,11 +17,7 @@ from hostlab.measures import (
     cylinder_condition,
     entropy,
     equivariance_gap,
-    gen_from_json,
-    gen_to_json,
     markov,
-    measure_from_csv,
-    measure_to_csv,
     realize,
     sample_digits,
     sample_past,
@@ -247,21 +243,6 @@ def test_sampling_matches_marginals():
     assert np.max(np.abs(freq - gen.pi)) < 0.01
     cd = sample_digits(cantor3(), 1000, rng)
     assert set(np.unique(cd)) <= {0, 2}
-
-
-def test_serialization_roundtrips(tmp_path):
-    mu = realize(markov(MARKOV_P), 3)
-    path = tmp_path / "m.csv"
-    measure_to_csv(mu, path)
-    first = path.read_text().splitlines()[0]
-    assert first == "# hostlab-csv v1"
-    back = measure_from_csv(path, base=2)
-    assert np.array_equal(back.weights, mu.weights)
-
-    for gen in (bernoulli(2, [0.3, 0.7]), markov(MARKOV_P), cantor3()):
-        again = gen_from_json(gen_to_json(gen))
-        assert again.kind == gen.kind and again.base == gen.base
-        assert np.allclose(realize(again, 3).weights, realize(gen, 3).weights)
 
 
 def test_generator_validation():

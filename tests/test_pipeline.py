@@ -215,6 +215,13 @@ def test_level_over_weight_budget_is_resource_error():
         proof_chain_quantity(gen, b=2, k=0, m=1, samples=2, level=30, seed=1)
 
 
+def test_compare_markov_empty_past_is_input_error():
+    gen = markov(MARKOV_P)
+    x = make_point_from_digits(2, sample_digits(gen, 200, np.random.default_rng(4)))
+    with pytest.raises(InputError, match="nonempty past"):
+        orbit_vs_conditional_compare(gen, PastWord(2, ()), x, b=3, k=0, m=1, N=50)
+
+
 def test_lifting_identity_direct_vs_schedule():
     """The n-step pushforward transform equals the scaled conditional
     transform times the exact cylinder phase; moduli agree on their own."""
