@@ -68,12 +68,6 @@ def _int_list(spec) -> list[int]:
     return [int(v) for v in str(spec).split(",") if str(v).strip() != ""]
 
 
-def _float_list(spec) -> list[float]:
-    if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
-    return [float(v) for v in str(spec).split(",") if str(v).strip() != ""]
-
-
 class Options:
     """Flag values over config-file values over built-in defaults."""
 
@@ -587,6 +581,9 @@ def main(argv=None) -> int:
         return 2
     except (ResourceError, QuadratureError) as exc:
         print(f"resource/precision error: {exc}", file=sys.stderr)
+        if getattr(exc, "diagnostics", None):
+            print("diagnostics: " + ", ".join(f"{k}={v}" for k, v in exc.diagnostics.items()),
+                  file=sys.stderr)
         return 3
     except HostlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

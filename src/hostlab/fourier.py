@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from .errors import InputError, QuadratureError
-from .measures import AdicMeasure, MeasureGen, bernoulli, cantor3, markov, realize, uniform
+from .measures import AdicMeasure, bernoulli, cantor3, correlation_integral, markov, realize, uniform
 
 TAU = 2.0 * np.pi
 
@@ -262,12 +262,13 @@ def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
         {"panels": panels, "last": prev, "tol": tol, "m": m, "b": b})
 
 
+def _scale_bound(params: SmoothingParams) -> float:
+    return 1.0 / (params.r * abs(params.m) * math.log(params.b_scale))
+
+
 def smoothing_rhs(mu: AdicMeasure, params: SmoothingParams) -> float:
     """1/(r |m| ln b) plus the correlation integral at radius r."""
-    from .measures import correlation_integral
-
-    bound = 1.0 / (params.r * abs(params.m) * math.log(params.b_scale))
-    return bound + correlation_integral(mu, params.r)
+    return _scale_bound(params) + correlation_integral(mu, params.r)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +293,10 @@ def smoothing_certificate(measures, ms, bs, rs, slack: float = 1e-4,
     """One row per (measure, m, b, r): lhs, rhs, margin, ok.
 
     The scale average does not depend on r, so it is computed once per
-    (measure, m, b) and compared against every radius row.
+    (measure, m, b) and compared against every radius row; the correlation
+    integral depends only on (measure, r), so it is computed once per pair.
     """
+    measures = list(measures)
     combos = [(label, mu, m, b) for label, mu in measures for m in ms for b in bs]
 
     def lhs_of(combo):
@@ -301,10 +304,11 @@ def smoothing_certificate(measures, ms, bs, rs, slack: float = 1e-4,
         return scaled_sq_integral(mu, SmoothingParams(b_scale=b, m=m, r=rs[0]))
 
     lhs_vals = list(parallel_map(lhs_of, combos))
+    corr = {id(mu): [correlation_integral(mu, r) for r in rs] for _, mu in measures}
     rows = []
     for (label, mu, m, b), lhs in zip(combos, lhs_vals):
-        for r in rs:
-            rhs = smoothing_rhs(mu, SmoothingParams(b_scale=b, m=m, r=r))
+        for r, c in zip(rs, corr[id(mu)]):
+            rhs = _scale_bound(SmoothingParams(b_scale=b, m=m, r=r)) + c
             rows.append({
                 "measure": label, "m": m, "b": b, "r": r,
                 "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,

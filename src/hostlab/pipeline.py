@@ -379,7 +379,8 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     the report is labeled a negative control.  No equidistribution rate is
     asserted here: the decrease/threshold flags are soft and configurable.
     Samples go through `parallel_map` (default: in order); the CLI keeps the
-    default, because the orbit's big-int work holds the GIL.
+    default, because a sample's big-int work (building the point, the
+    orbit's one big division) holds the GIL, and a pool measured no faster.
     """
     gen, b = cfg.gen, cfg.b
     a = gen.base

@@ -148,6 +148,25 @@ def orbit_readouts(num: int, mod: int, b: int, N: int) -> list[int]:
     return out
 
 
+def markov_digits(gen, n: int, rng: np.random.Generator, start=None) -> np.ndarray:
+    """n Markov digits by one searchsorted per digit: the uniforms first,
+    then the stationary start draw, each state clamped to a - 1."""
+    a = gen.base
+    cum = np.cumsum(gen.P, axis=1)
+    out = np.empty(n, dtype=np.int64)
+    us = rng.random(n)
+    if start is None:
+        state = int(np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right"))
+        state = min(state, a - 1)
+    else:
+        state = int(start)
+    for i in range(n):
+        state = int(np.searchsorted(cum[state], us[i], side="right"))
+        state = min(state, a - 1)
+        out[i] = state
+    return out
+
+
 def orbit_character_sums(num: int, mod: int, b: int, freqs, checkpoints):
     """Averages of e(m T_b^n x) at each sorted checkpoint, summed step by
     step from the per-step read-outs."""

@@ -4,7 +4,8 @@ import os
 import pytest
 
 import hostlab
-from hostlab import cli, reports
+from hostlab import cli, fourier, reports
+from hostlab.errors import QuadratureError
 from hostlab.reports import CSV_MAGIC, parallel_map, thread_count, version_string
 
 
@@ -107,6 +108,20 @@ def test_fourier_cert_quick(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == CSV_MAGIC
         assert all(line.endswith("true") for line in lines[2:])
+
+
+def test_quadrature_error_prints_diagnostics(tmp_path, monkeypatch, capsys):
+    def fail(*_, **__):
+        raise QuadratureError("scale-average quadrature did not converge",
+                              {"panels": 2048, "last": 0.25, "tol": 1e-6})
+
+    monkeypatch.setattr(fourier, "scaled_sq_integral", fail)
+    code = cli.main(["fourier-cert", "--battery", "quick", "--seed", "3",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("resource/precision error: scale-average")
+    assert err[1] == "diagnostics: panels=2048, last=0.25, tol=1e-06"
 
 
 def test_proof_chain_quick(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hostlab import fourier
 from hostlab.errors import InputError, QuadratureError
 from hostlab.fourier import (
     SmoothingParams,
@@ -21,7 +22,7 @@ from hostlab.fourier import (
     smoothing_certificate,
     smoothing_rhs,
 )
-from hostlab.measures import AdicMeasure, bernoulli, cantor3, realize, uniform
+from hostlab.measures import AdicMeasure, bernoulli, cantor3, correlation_integral, realize, uniform
 from oracles import cantor_transform, mc_scaled_sq, wrapped_transform
 
 TAU = 2.0 * math.pi
@@ -197,6 +198,28 @@ def test_smoothing_inequality_small_battery():
         ms=[1, -2], bs=[2.0, math.e], rs=[3.0 ** -j for j in (1, 3)])
     assert all(row["ok"] for row in rows)
     assert all(row["lhs"] <= row["rhs"] + 1e-4 for row in rows)
+
+
+def test_smoothing_certificate_rows_match_per_row_rhs(monkeypatch):
+    measures = [("cantor3", realize(cantor3(), 9)), ("uniform2", realize(uniform(2), 10))]
+    rs = [3.0 ** -j for j in (1, 3)]
+    calls = []
+
+    def counted(mu, r):
+        calls.append((id(mu), r))
+        return correlation_integral(mu, r)
+
+    monkeypatch.setattr(fourier, "correlation_integral", counted)
+    rows = smoothing_certificate(measures, ms=[1, -2], bs=[2.0, math.e], rs=rs)
+    monkeypatch.undo()
+    assert len(rows) == 2 * 2 * 2 * 2
+    assert sorted(calls) == sorted({(id(mu), r) for _, mu in measures for r in rs})
+    by_label = dict(measures)
+    for row in rows:
+        params = SmoothingParams(b_scale=row["b"], m=row["m"], r=row["r"])
+        assert row["rhs"] == smoothing_rhs(by_label[row["measure"]], params)
+        assert row["margin"] == row["rhs"] - row["lhs"]
+        assert row["ok"] == (row["lhs"] <= row["rhs"] + 1e-4)
 
 
 def test_scaled_sq_quadrature_error_diagnostics():

@@ -8,6 +8,7 @@ from hostlab.errors import (
     ResourceError,
 )
 from hostlab.measures import (
+    _SCAN_ENTRIES,
     AdicMeasure,
     PastWord,
     bernoulli,
@@ -26,7 +27,7 @@ from hostlab.measures import (
     verify_equivariance,
     word,
 )
-from oracles import brute_correlation, coarsen, refine
+from oracles import brute_correlation, coarsen, markov_digits, refine
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 
@@ -243,6 +244,86 @@ def test_sampling_matches_marginals():
     assert np.max(np.abs(freq - gen.pi)) < 0.01
     cd = sample_digits(cantor3(), 1000, rng)
     assert set(np.unique(cd)) <= {0, 2}
+
+
+# One chain per base, each with zero entries, a deterministic row 0 and a
+# row 1 that sums to 1 - 5e-13, so its cumsum ends below 1.0.
+SHORT = 5e-13
+SCAN_CHAINS = {
+    2: [[0.0, 1.0], [0.4, 0.6 - SHORT]],
+    3: [[0.0, 1.0, 0.0], [0.3, 0.0, 0.7 - SHORT], [0.25, 0.25, 0.5]],
+    5: [[0.0, 0.0, 1.0, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2 - SHORT],
+        [0.5, 0.0, 0.0, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4, 0.0],
+        [0.0, 0.25, 0.25, 0.25, 0.25]],
+}
+TOP = 1.0 - 2.0 ** -53      # the largest double below 1
+
+
+class TopHeavyRng:
+    """A Generator whose every 5th array uniform is TOP: above the end of
+    a cumsum row that sums short of 1.0, so the a - 1 clamp is taken."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        u = self._rng.random(size)
+        if size is not None:
+            u[::5] = TOP
+        return u
+
+
+class ConstRng:
+    """Every uniform is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+def _scan_sizes():
+    for k, r in ((0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (3, 7)):
+        label = str(r) if k == 0 else f"{'' if k == 1 else k}c{r:+d}"
+        yield pytest.param(k, r, id=f"n={label}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rng_kind", ["generator", "top-heavy"])
+@pytest.mark.parametrize("k,r", _scan_sizes())
+@pytest.mark.parametrize("a", [2, 3, 5])
+def test_markov_scan_matches_loop(a, k, r, rng_kind):
+    gen = markov(SCAN_CHAINS[a])
+    assert np.cumsum(gen.P, axis=1)[1, -1] < TOP
+    n = k * max(1, _SCAN_ENTRIES // a) + r
+    make = np.random.default_rng if rng_kind == "generator" else TopHeavyRng
+    for start in (None, *range(a)):
+        rng, ref_rng = make(100 * a + n), make(100 * a + n)
+        got = sample_digits(gen, n, rng, start=start)
+        want = markov_digits(gen, n, ref_rng, start=start)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (start, np.flatnonzero(got != want)[:5])
+        assert rng.random() == ref_rng.random()
+        if rng_kind == "top-heavy" and start == 1:
+            assert got[0] == a - 1      # TOP from the short row: clamped
+
+
+def test_stationary_start_draw_is_clamped():
+    gen0 = markov(MARKOV_P)
+    gen = markov(MARKOV_P, pi=gen0.pi * (1 - 1e-13))
+    assert np.cumsum(gen.pi)[-1] < 1 - 5e-14
+    got = sample_digits(gen, 4, ConstRng(1 - 5e-14))
+    assert np.array_equal(got, markov_digits(gen, 4, ConstRng(1 - 5e-14)))
+    assert np.array_equal(got, [1, 1, 1, 1])
+
+
+def test_markov_start_out_of_range_is_input_error():
+    gen = markov(MARKOV_P)
+    rng = np.random.default_rng(0)
+    for start in (-1, 2):
+        with pytest.raises(InputError):
+            sample_digits(gen, 5, rng, start=start)
 
 
 def test_generator_validation():
