@@ -31,7 +31,7 @@ class PrecisionError(ResourceError):
 
 
 class QuadratureError(HostlabError):
-    """Quadrature failed to converge; carries diagnostics."""
+    """The C1-density transform quadrature missed its error bound; carries diagnostics."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

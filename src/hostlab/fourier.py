@@ -8,17 +8,27 @@ transform has the closed form
 
 with sinc(u) = sin(pi u)/(pi u); no sampling is involved.  Scaling satisfies
 F_m(S_t nu) = F(nu, m t), which is how scale averages are evaluated.
+
+The scale average is closed form too: with R = w * w, c_0 = 1, c_D = 2 (D > 0),
+s = pi xi h and s0 = pi |m| p h, |F(xi)|^2 = (sin^2 s/s^2) sum_D c_D R(D) cos(2Ds),
+so int_0^1 |F(m p b^t)|^2 dt = (1/ln b) sum_D c_D R(D) J_D, J_D = int_{s0}^{b s0}
+sin^2 s cos(2Ds)/s^3 ds.  If b s0 <= 1, J_0 = [Ci(2s) - sin^2 s/(2s^2) - sin 2s/(2s)]
+and for D > 0 sin^2 s/s^2 is expanded in powers of s: Ci(2Ds) plus elementary
+integrals of s^(2j-1) cos(2Ds), each O(1).  Otherwise sin^2 s cos 2Ds = cos(2Ds)/2
+- cos((2D+2)s)/4 - cos((2D-2)s)/4 and each cosine integrates through Ci (DLMF 6.2,
+6.5), to about eps D/s0; at small s0 that split would cancel 1/s0^2 terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import sici
 
 from .errors import InputError, QuadratureError
 from .measures import AdicMeasure, bernoulli, cantor3, correlation_integral, markov, realize, uniform
@@ -216,7 +226,6 @@ class SmoothingParams:
     b_scale: float
     m: int
     r: float
-    nodes: int = 16
 
     def __post_init__(self):
         if self.b_scale <= 1.0:
@@ -225,41 +234,46 @@ class SmoothingParams:
             raise InputError("m must be nonzero")
         if self.r <= 0:
             raise InputError("r must be positive")
-        if self.nodes < 4:
-            raise InputError("need at least 4 quadrature nodes per panel")
+
+
+def _lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
+    """J_D of the module docstring for D = 0..K-1, as F(s1) - F(s0) with the
+    antiderivative F of the branch that s1 selects, at both ends at once."""
+    s = np.array([s1, s0])
+    if s1 > 1.0:
+        # A_c = -cos(cs)/(2s^2) + c sin(cs)/(2s) - c^2 Ci(cs)/2 reads one rounded argument;
+        # regrouping the three cosines by trig identities would lose about eps D^2
+        d = np.arange(1, K + 1, dtype=np.float64)[:, None]
+        x = (2.0 * s) * d
+        A = np.vstack((-0.5 / s ** 2,
+                       -np.cos(x) / (2.0 * s * s) + d * np.sin(x) / s - 2.0 * d * d * sici(x)[1]))
+        return (0.5 * A[:K] - 0.25 * A[1:] - 0.25 * A[np.abs(np.arange(K) - 1)]) @ [1.0, -1.0]
+    coef = [1.0]                      # sin^2 s/s^2 = sum_j coef[j] s^(2j), to 1e-17 at s1
+    while abs(coef[-1]) * s1 ** (2 * len(coef) - 2) >= 1e-17:
+        coef.append(coef[-1] * -4.0 / ((2 * len(coef) + 1) * (2 * len(coef) + 2)))
+    # Re exp(ics) (x_n + i y_n) integrates s^n cos(cs); each coef-weighted term is O(1)
+    c = 2.0 * np.arange(1, K, dtype=np.float64)[:, None]
+    x, y, qx, qy = 0.0, -1.0 / c, 0.0, 0.0
+    for n in range(1, 2 * len(coef) - 2):
+        x, y = -n * y / c, (n * x - s ** n) / c
+        if n % 2:
+            qx, qy = qx + coef[(n + 1) // 2] * x, qy + coef[(n + 1) // 2] * y
+    lag0 = sici(2.0 * s)[1] - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
+    F = np.vstack((lag0, sici(c * s)[1] + np.cos(c * s) * qx - np.sin(c * s) * qy))
+    return F @ [1.0, -1.0]
 
 
 def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
-                       prescale: float = 1.0, tol: float = 1e-6,
-                       max_doublings: int = 6) -> float:
-    """integral over t in [0,1] of |F_m(S_{b^t} S_prescale mu)|^2 dt.
-
-    Panel Gauss-Legendre with `nodes` points per panel; the initial panel
-    count resolves the integrand's oscillation (about |m| b ln b per unit
-    support diameter, and the prescaled support has diameter `prescale`),
-    then panels double until two successive values agree within tol.
-    """
-    b, m = params.b_scale, params.m
-    panels = max(16, math.ceil(4.0 * abs(m) * b * math.log(b) * prescale))
-    x_gl, w_gl = leggauss(params.nodes)
-
-    def value(p: int) -> float:
-        edges = np.arange(p, dtype=np.float64) / p
-        ts = (edges[:, None] + (x_gl[None, :] + 1.0) / (2.0 * p)).ravel()
-        xis = m * prescale * np.power(b, ts)
-        vals = np.abs(ft_adic_many(mu, xis)) ** 2
-        return float(vals @ np.tile(w_gl / (2.0 * p), p))
-
-    prev = value(panels)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = value(panels)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        "scale-average quadrature did not converge",
-        {"panels": panels, "last": prev, "tol": tol, "m": m, "b": b})
+                       prescale: float = 1.0) -> float:
+    """integral over t in [0,1] of |F_m(S_{b^t} S_prescale mu)|^2 dt, in the
+    closed form of the module docstring; R comes from one rfft."""
+    if prescale <= 0:
+        raise InputError("prescale must be positive")
+    K = len(mu.weights)
+    R = np.fft.irfft(np.abs(np.fft.rfft(mu.weights, 2 * K)) ** 2, 2 * K)[:K]
+    R[1:] *= 2.0
+    s0 = math.pi * abs(params.m) * prescale * mu.cell_width
+    return float(R @ _lag_integrals(K, s0, params.b_scale * s0)) / math.log(params.b_scale)
 
 
 def _scale_bound(params: SmoothingParams) -> float:
@@ -292,28 +306,21 @@ def smoothing_certificate(measures, ms, bs, rs, slack: float = 1e-4,
                           parallel_map=map) -> list[dict]:
     """One row per (measure, m, b, r): lhs, rhs, margin, ok.
 
-    The scale average does not depend on r, so it is computed once per
-    (measure, m, b) and compared against every radius row; the correlation
-    integral depends only on (measure, r), so it is computed once per pair.
+    The scale average is computed once per (measure, |m|, b), for both signs
+    of m and every r, and the correlation integral once per (measure, r).
     """
     measures = list(measures)
-    combos = [(label, mu, m, b) for label, mu in measures for m in ms for b in bs]
-
-    def lhs_of(combo):
-        _, mu, m, b = combo
-        return scaled_sq_integral(mu, SmoothingParams(b_scale=b, m=m, r=rs[0]))
-
-    lhs_vals = list(parallel_map(lhs_of, combos))
-    corr = {id(mu): [correlation_integral(mu, r) for r in rs] for _, mu in measures}
+    keys = list(dict.fromkeys((mu, abs(m), b) for _, mu in measures for m in ms for b in bs))
+    lhs_by_key = dict(zip(keys, parallel_map(lambda key: scaled_sq_integral(
+        key[0], SmoothingParams(b_scale=key[2], m=key[1], r=rs[0])), keys)))
     rows = []
-    for (label, mu, m, b), lhs in zip(combos, lhs_vals):
-        for r, c in zip(rs, corr[id(mu)]):
+    for label, mu in measures:
+        corr = [correlation_integral(mu, r) for r in rs]
+        for m, b, (r, c) in itertools.product(ms, bs, zip(rs, corr)):
+            lhs = lhs_by_key[mu, abs(m), b]
             rhs = _scale_bound(SmoothingParams(b_scale=b, m=m, r=r)) + c
-            rows.append({
-                "measure": label, "m": m, "b": b, "r": r,
-                "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
-                "ok": lhs <= rhs + slack,
-            })
+            rows.append({"measure": label, "m": m, "b": b, "r": r, "lhs": lhs,
+                         "rhs": rhs, "margin": rhs - lhs, "ok": lhs <= rhs + slack})
     return rows
 
 

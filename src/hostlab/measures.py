@@ -57,8 +57,8 @@ def bernoulli(base: int, p) -> MeasureGen:
     p = np.asarray(p, dtype=np.float64)
     if base < 2 or len(p) != base:
         raise InputError("probability vector length must equal base >= 2")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > _PROB_TOL:
-        raise InputError("probabilities must be >= 0 and sum to 1 within 1e-12")
+    if not np.all(np.isfinite(p) & (p >= 0)) or abs(p.sum() - 1.0) > _PROB_TOL:
+        raise InputError("probabilities must be finite, >= 0 and sum to 1 within 1e-12")
     return MeasureGen(kind=BERNOULLI, base=base, p=_freeze(p),
                       label=f"bernoulli({base})")
 
@@ -73,8 +73,8 @@ def markov(P, pi=None) -> MeasureGen:
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
         raise InputError("P must be a square stochastic matrix, size >= 2")
     a = P.shape[0]
-    if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > _PROB_TOL):
-        raise InputError("rows of P must be >= 0 and sum to 1 within 1e-12")
+    if not np.all(np.isfinite(P) & (P >= 0)) or np.any(np.abs(P.sum(1) - 1.0) > _PROB_TOL):
+        raise InputError("rows of P must be finite, >= 0 and sum to 1 within 1e-12")
     if pi is None:
         A = P.T - np.eye(a)
         A[-1] = 1.0
@@ -82,7 +82,7 @@ def markov(P, pi=None) -> MeasureGen:
         rhs[-1] = 1.0
         pi = np.linalg.solve(A, rhs)
     pi = np.asarray(pi, dtype=np.float64)
-    if np.any(pi < -_PROB_TOL) or abs(pi.sum() - 1.0) > _PROB_TOL:
+    if not np.all(np.isfinite(pi) & (pi >= -_PROB_TOL)) or abs(pi.sum() - 1.0) > _PROB_TOL:
         raise InputError("pi must be a probability vector")
     if np.max(np.abs(pi @ P - pi)) > _PROB_TOL:
         raise InputError("pi is not stationary for P (pi P != pi within 1e-12)")
@@ -100,8 +100,9 @@ def ifs_digits(base: int, digits, weights=None) -> MeasureGen:
     if weights is None:
         weights = np.full(len(digits), 1.0 / len(digits))
     weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(digits) or np.any(weights < 0) or abs(weights.sum() - 1.0) > _PROB_TOL:
-        raise InputError("weights must match the digit set and sum to 1")
+    if (len(weights) != len(digits) or not np.all(np.isfinite(weights) & (weights >= 0))
+            or abs(weights.sum() - 1.0) > _PROB_TOL):
+        raise InputError("weights must match the digit set, be finite and sum to 1")
     p = np.zeros(base)
     p[list(digits)] = weights
     return MeasureGen(kind=IFS_DIGITS, base=base, p=_freeze(p), digits=digits,
@@ -199,8 +200,8 @@ class AdicMeasure:
         w = np.asarray(self.weights, dtype=np.float64)
         if len(w) != self.base ** self.level:
             raise InputError("weight vector length must be base**level")
-        if np.any(w < 0):
-            raise InputError("weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise InputError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > _PROB_TOL:
             raise InputError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "weights", _freeze(w))
@@ -365,9 +366,10 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
     on its previous symbol.
 
     Markov digits are exact: with the uniforms drawn before the start state,
-    the step map of digit i is T_i(s) = min(searchsorted(cumsum P[s], u_i),
-    a - 1), and a Hillis-Steele prefix scan (F_i <- F_i o F_(i-d), d = 1, 2,
-    4, ...) composes them per chunk, so digit i is T_i o ... o T_0(start).
+    the step map of digit i is T_i(s) = min(searchsorted(cumsum P[s], u_i), l_s)
+    with l_s the last positive entry of row s (of pi for the start draw), and
+    a Hillis-Steele prefix scan (F_i <- F_i o F_(i-d), d = 1, 2, 4, ...)
+    composes them per chunk, so digit i is T_i o ... o T_0(start).
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -379,8 +381,10 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
     cum = np.cumsum(gen.P, axis=1)
     us = rng.random(n)
     if start is None:
-        start = np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right")
-    state = min(int(start), a - 1)
+        start = min(np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right"),
+                    np.flatnonzero(gen.pi)[-1])
+    state = int(start)
+    last = [np.flatnonzero(row)[-1] for row in gen.P]
     out = np.empty(n, dtype=np.int64)
     chunk = max(1, _SCAN_ENTRIES // a)
     rows = np.arange(0, min(chunk, n) * a, a)[:, None]    # flat offset of each row
@@ -389,7 +393,7 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
         F = np.empty((len(u), a), dtype=np.int64)
         for s in range(a):
             F[:, s] = np.searchsorted(cum[s], u, side="right")
-        np.minimum(F, a - 1, out=F)
+        np.minimum(F, last, out=F)
         d = 1
         while d < len(u):
             # a flat take: 1.6-1.8x faster than take_along_axis at a = 2, 3

@@ -270,15 +270,13 @@ class ProofChainEstimate:
     scale_term: float
     corr_term: float
     rhs: float
-    panels: int
     b: int                      # carried for provenance; the z-average itself
                                 # integrates over one full power of the base
 
 
 def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
                          samples: int, level: int | None = None,
-                         seed: int = 0, past_length: int = 32,
-                         tol: float = 1e-6) -> ProofChainEstimate:
+                         seed: int = 0, past_length: int = 32) -> ProofChainEstimate:
     """Estimate the average over pasts of int_0^1 |F_m(S_{a^z} S_{a^k} mu_past)|^2 dz.
 
     The z-integral is the scale-smoothing quantity with scale base a and
@@ -302,14 +300,13 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
 
     prescale = float(a) ** k
     params = SmoothingParams(b_scale=float(a), m=m, r=r)
-    panels = max(16, math.ceil(4.0 * abs(m) * a * math.log(a) * prescale))
 
     lhs_cache: dict[int, tuple[float, float]] = {}
 
     def values_for(state_key: int, past: PastWord) -> tuple[float, float]:
         if state_key not in lhs_cache:
             mu = conditional_on_past(gen, past, level)
-            lhs = scaled_sq_integral(mu, params, prescale=prescale, tol=tol)
+            lhs = scaled_sq_integral(mu, params, prescale=prescale)
             corr = correlation_integral(mu, r)
             lhs_cache[state_key] = (lhs, corr)
         return lhs_cache[state_key]
@@ -324,12 +321,14 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
 
     scale_term = 1.0 / (float(a) ** (k / 2.0) * abs(m) * math.log(a))
     value = float(lhs_vals.mean())
-    se = float(lhs_vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    # deviations from the first sample, so equal samples give exactly 0
+    spread = (lhs_vals - lhs_vals[0]).std(ddof=1) if samples > 1 else 0.0
+    se = float(spread / math.sqrt(samples))
     corr_mean = float(corr_vals.mean())
     return ProofChainEstimate(
         k=k, m=m, samples=samples, level=level, value=value, std_error=se,
         scale_term=scale_term, corr_term=corr_mean,
-        rhs=scale_term + corr_mean, panels=panels, b=b)
+        rhs=scale_term + corr_mean, b=b)
 
 
 # ---------------------------------------------------------------------------

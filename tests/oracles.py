@@ -1,8 +1,9 @@
 """Independent reference computations used only by the test suite.
 
 Each oracle deliberately takes a different route than the library code it
-checks (pair-offset sums instead of CDF antiderivatives, Monte Carlo instead
-of quadrature, explicit interval wrapping instead of frequency identities).
+checks (pair-offset sums instead of CDF antiderivatives, Monte Carlo or
+panel quadrature of the transform instead of the closed-form scale average,
+explicit interval wrapping instead of frequency identities).
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
-from hostlab.errors import InputError, ResourceError
+from hostlab.errors import InputError, QuadratureError, ResourceError
+from hostlab.fourier import ft_adic_many
 from hostlab.measures import MAX_WEIGHT_ENTRIES, AdicMeasure
 
 TAU = 2.0 * np.pi
@@ -85,6 +88,39 @@ def mc_scaled_sq(mu, b: float, m: int, pairs: int,
     return mean, se
 
 
+def panel_scaled_sq(mu, params, prescale: float = 1.0, nodes: int = 16,
+                    tol: float = 1e-6, max_doublings: int = 6) -> float:
+    """integral over t in [0,1] of |F_m(S_{b^t} S_prescale mu)|^2 dt by panel
+    Gauss-Legendre on the transform itself.
+
+    `nodes` points per panel; the initial panel count resolves the
+    integrand's oscillation (about |m| b ln b per unit support diameter, and
+    the prescaled support has diameter `prescale`), then panels double until
+    two successive values agree within tol.
+    """
+    b, m = params.b_scale, params.m
+    panels = max(16, math.ceil(4.0 * abs(m) * b * math.log(b) * prescale))
+    x_gl, w_gl = leggauss(nodes)
+
+    def value(p: int) -> float:
+        edges = np.arange(p, dtype=np.float64) / p
+        ts = (edges[:, None] + (x_gl[None, :] + 1.0) / (2.0 * p)).ravel()
+        xis = m * prescale * np.power(b, ts)
+        vals = np.abs(ft_adic_many(mu, xis)) ** 2
+        return float(vals @ np.tile(w_gl / (2.0 * p), p))
+
+    prev = value(panels)
+    for _ in range(max_doublings):
+        panels *= 2
+        cur = value(panels)
+        if abs(cur - prev) < tol:
+            return cur
+        prev = cur
+    raise QuadratureError(
+        "scale-average quadrature did not converge",
+        {"panels": panels, "last": prev, "tol": tol, "m": m, "b": b})
+
+
 def direct_pushforward_transform(gen, past, xdigits, nprime: int, k: int,
                                  b: int, n: int, m: int, depth: int = 6) -> complex:
     """Transform of the n-step xb image of the k-scaled conditional measure
@@ -150,19 +186,19 @@ def orbit_readouts(num: int, mod: int, b: int, N: int) -> list[int]:
 
 def markov_digits(gen, n: int, rng: np.random.Generator, start=None) -> np.ndarray:
     """n Markov digits by one searchsorted per digit: the uniforms first,
-    then the stationary start draw, each state clamped to a - 1."""
-    a = gen.base
+    then the stationary start draw, each state clamped to the last state of
+    positive probability in its row (in pi for the start draw)."""
     cum = np.cumsum(gen.P, axis=1)
+    last = [int(np.flatnonzero(row)[-1]) for row in gen.P]
     out = np.empty(n, dtype=np.int64)
     us = rng.random(n)
     if start is None:
         state = int(np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right"))
-        state = min(state, a - 1)
+        state = min(state, int(np.flatnonzero(gen.pi)[-1]))
     else:
         state = int(start)
     for i in range(n):
-        state = int(np.searchsorted(cum[state], us[i], side="right"))
-        state = min(state, a - 1)
+        state = min(int(np.searchsorted(cum[state], us[i], side="right")), last[state])
         out[i] = state
     return out
 

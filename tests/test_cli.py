@@ -111,17 +111,18 @@ def test_fourier_cert_quick(tmp_path):
 
 
 def test_quadrature_error_prints_diagnostics(tmp_path, monkeypatch, capsys):
-    def fail(*_, **__):
-        raise QuadratureError("scale-average quadrature did not converge",
-                              {"panels": 2048, "last": 0.25, "tol": 1e-6})
+    # the C1-density transform is the one quadrature left that can fail
+    def fail(spec, t, slack=0.0):
+        raise QuadratureError("transform quadrature above tolerance",
+                              {"t": t, "err": 2e-10, "density": spec.label})
 
-    monkeypatch.setattr(fourier, "scaled_sq_integral", fail)
+    monkeypatch.setattr(fourier, "c1_bound_check", fail)
     code = cli.main(["fourier-cert", "--battery", "quick", "--seed", "3",
                      "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("resource/precision error: scale-average")
-    assert err[1] == "diagnostics: panels=2048, last=0.25, tol=1e-06"
+    assert err[0].startswith("resource/precision error: transform quadrature")
+    assert err[1] == "diagnostics: t=1, err=2e-10, density=quadratic_bump[0,1]"
 
 
 def test_proof_chain_quick(tmp_path):
@@ -132,6 +133,21 @@ def test_proof_chain_quick(tmp_path):
     summary = json.loads((tmp_path / "proof_chain_summary.json").read_text())
     assert summary["all_bounded"] is True
     assert summary["values"][1] < summary["values"][0]
+
+
+def test_proof_chain_runs_to_k12(tmp_path):
+    code = cli.main(["proof-chain", "--gen", "cantor3", "--b", "2",
+                     "--ks", "0,2,4,6,8,10,12", "--seed", "7", "--out", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "proof_chain_summary.json").read_text())
+    assert summary["all_bounded"] is True
+    assert summary["values"] == sorted(summary["values"], reverse=True)
+
+
+def test_nan_probability_is_config_error(tmp_path):
+    code = cli.main(["martingale", "--gen", "markov:nan,0.5;0.5,0.5", "--seed", "1",
+                     "--out", str(tmp_path)])
+    assert code == 2
 
 
 def test_proof_chain_level_over_weight_budget_exits_3(tmp_path):

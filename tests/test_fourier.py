@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,8 +23,19 @@ from hostlab.fourier import (
     smoothing_certificate,
     smoothing_rhs,
 )
-from hostlab.measures import AdicMeasure, bernoulli, cantor3, correlation_integral, realize, uniform
-from oracles import cantor_transform, mc_scaled_sq, wrapped_transform
+from hostlab.measures import (
+    AdicMeasure,
+    bernoulli,
+    cantor3,
+    correlation_integral,
+    cylinder_condition,
+    markov,
+    realize,
+    shift_push,
+    uniform,
+    word,
+)
+from oracles import cantor_transform, mc_scaled_sq, panel_scaled_sq, wrapped_transform
 
 TAU = 2.0 * math.pi
 
@@ -223,11 +235,102 @@ def test_smoothing_certificate_rows_match_per_row_rhs(monkeypatch):
 
 
 def test_scaled_sq_quadrature_error_diagnostics():
+    # the closed form has no failure path; the panel oracle still reports one
     mu = realize(cantor3(), 6)
     with pytest.raises(QuadratureError) as exc:
-        scaled_sq_integral(mu, SmoothingParams(b_scale=2.0, m=1, r=0.5),
-                           tol=0.0, max_doublings=1)
+        panel_scaled_sq(mu, SmoothingParams(b_scale=2.0, m=1, r=0.5),
+                        tol=0.0, max_doublings=1)
     assert "panels" in exc.value.diagnostics
+
+
+def _unfactorized_measures():
+    return [shift_push(realize(markov([[0.9, 0.1], [0.5, 0.5]]), 15), 1),
+            cylinder_condition(realize(cantor3(), 10), word(3, [2]))]
+
+
+def _closed_form_cases(kind):
+    if kind == "battery":
+        for _, mu in default_measure_battery(20240):
+            for m in range(1, 9):
+                for b in (2.0, 10.0):
+                    yield mu, SmoothingParams(b_scale=b, m=m, r=0.1), 1.0
+    elif kind == "cantor3-prescaled":
+        for level in (8, 9):
+            mu = realize(cantor3(), level)
+            for k in (0, 2, 4, 6):
+                yield mu, SmoothingParams(b_scale=3.0, m=1, r=0.1), 3.0 ** k
+    else:
+        for mu in _unfactorized_measures():
+            for m in (1, -1, 2, -2):
+                yield mu, SmoothingParams(b_scale=2.0, m=m, r=0.1), 1.0
+
+
+@pytest.mark.parametrize("kind", ["battery", "cantor3-prescaled", "unfactorized"])
+def test_scaled_sq_closed_form_matches_panel_oracle(kind):
+    for mu, params, prescale in _closed_form_cases(kind):
+        got = scaled_sq_integral(mu, params, prescale=prescale)
+        want = panel_scaled_sq(mu, params, prescale=prescale)
+        assert abs(got - want) <= 1e-10, (mu.base, mu.level, params, prescale, got - want)
+
+
+def _lag_integral_mp(D, s0, s1):
+    """J_D from the three-cosine split at 40 digits, where its cancellation is harmless."""
+    def anti(s):
+        total = mpmath.mpf(0)
+        for coef, c in ((0.5, 2 * D), (-0.25, 2 * D + 2), (-0.25, abs(2 * D - 2))):
+            if c == 0:
+                total += coef * -1 / (2 * s ** 2)
+            else:
+                total += coef * (-mpmath.cos(c * s) / (2 * s ** 2) + c * mpmath.sin(c * s) / (2 * s)
+                                 - c * c * mpmath.ci(c * s) / 2)
+        return total
+
+    with mpmath.workdps(40):
+        return anti(mpmath.mpf(s1)) - anti(mpmath.mpf(s0))
+
+
+@pytest.mark.parametrize("s0,b", [(math.pi * 2.0 ** -14, 2.0), (0.6, 10.0)],
+                         ids=["series-branch", "three-cosine-branch"])
+def test_lag_integrals_against_mpmath(s0, b):
+    # series terms are O(1) each; the three-cosine split loses about eps D / s0
+    s1 = b * s0
+    eps = np.finfo(np.float64).eps
+    got = fourier._lag_integrals(8001, s0, s1)
+    with mpmath.workdps(30):
+        for D in (0, 1, 1000, 8000):
+            want = _lag_integral_mp(D, s0, s1)
+            tol = 1e-14 if s1 <= 1.0 else 4.0 * eps * (1.0 + D / s0)
+            assert abs(got[D] - float(want)) < tol, (D, got[D], want)
+            if s1 <= 1.0 or D <= 1:   # few oscillations: direct quadrature is cheap
+                f = lambda s: mpmath.sin(s) ** 2 * mpmath.cos(2 * D * s) / s ** 3
+                direct = mpmath.quad(f, mpmath.linspace(s0, s1, 8))
+                assert abs(direct - want) < 1e-20, D
+
+
+def test_smoothing_certificate_shares_lhs_across_signs_and_radii(monkeypatch):
+    measures = [("cantor3", realize(cantor3(), 9)), ("uniform2", realize(uniform(2), 10))]
+    ms, bs, rs = [1, -1, -2, 2, 3], [2.0, math.e], [3.0 ** -j for j in (1, 3)]
+    calls = []
+
+    def counted(mu, params, prescale=1.0):
+        calls.append((id(mu), abs(params.m), params.b_scale))
+        return scaled_sq_integral(mu, params, prescale)
+
+    monkeypatch.setattr(fourier, "scaled_sq_integral", counted)
+    rows = smoothing_certificate(measures, ms, bs, rs)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted({(id(mu), abs(m), b) for _, mu in measures
+                                    for m in ms for b in bs})
+    by_label = dict(measures)
+    by_key = {(r["measure"], r["m"], r["b"], r["r"]): r for r in rows}
+    assert len(by_key) == len(rows) == 2 * 5 * 2 * 2
+    for row in rows:
+        params = SmoothingParams(b_scale=row["b"], m=row["m"], r=row["r"])
+        assert row["lhs"] == scaled_sq_integral(by_label[row["measure"]], params)
+        twin = by_key.get((row["measure"], -row["m"], row["b"], row["r"]))
+        if twin is not None:
+            assert {k: v for k, v in twin.items() if k != "m"} == \
+                {k: v for k, v in row.items() if k != "m"}
 
 
 def test_e_helper():

@@ -18,6 +18,7 @@ from hostlab.measures import (
     cylinder_condition,
     entropy,
     equivariance_gap,
+    ifs_digits,
     markov,
     realize,
     sample_digits,
@@ -316,6 +317,31 @@ def test_stationary_start_draw_is_clamped():
     got = sample_digits(gen, 4, ConstRng(1 - 5e-14))
     assert np.array_equal(got, markov_digits(gen, 4, ConstRng(1 - 5e-14)))
     assert np.array_equal(got, [1, 1, 1, 1])
+
+
+def test_markov_samples_stay_on_the_support():
+    # row 0 sums short of 1 and ends in a zero: the overflow goes to state 1, not 2
+    gen = markov([[0.5, 0.5 - SHORT, 0.0], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
+    got = sample_digits(gen, 3, ConstRng(TOP), start=0)
+    assert np.array_equal(got, [1, 2, 2])
+    assert np.array_equal(got, markov_digits(gen, 3, ConstRng(TOP), start=0))
+    # pi sums short of 1 and state 2 has probability 0: the start draw is 1, not 2
+    gen = markov([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+                 pi=[0.5, 0.5 - SHORT, 0.0])
+    got = sample_digits(gen, 3, ConstRng(TOP))
+    assert np.array_equal(got, [1, 1, 1])
+    assert np.array_equal(got, markov_digits(gen, 3, ConstRng(TOP)))
+
+
+def test_nan_probabilities_are_input_errors():
+    nan = float("nan")
+    for make in (lambda: bernoulli(2, [nan, 0.5]),
+                 lambda: markov([[nan, 0.5], [0.5, 0.5]]),
+                 lambda: markov(MARKOV_P, pi=[nan, 1.0]),
+                 lambda: ifs_digits(3, (0, 2), [nan, 0.5]),
+                 lambda: AdicMeasure(base=2, level=1, weights=[nan, 1.0])):
+        with pytest.raises(InputError):
+            make()
 
 
 def test_markov_start_out_of_range_is_input_error():

@@ -285,6 +285,14 @@ def test_proof_chain_decay_and_refusals():
         proof_chain_quantity(gen, b=2, k=0, m=0, samples=2, level=9, seed=1)
 
 
+def test_proof_chain_runs_past_k6():
+    gen = cantor3()
+    e6, e8 = (proof_chain_quantity(gen, b=2, k=k, m=1, samples=3, seed=2) for k in (6, 8))
+    assert e8.level == 9
+    assert e8.value <= e8.rhs + 1e-4
+    assert e8.value < e6.value
+
+
 def test_proof_chain_markov_samples_vary():
     gen = markov(MARKOV_P)
     est = proof_chain_quantity(gen, b=3, k=2, m=1, samples=24, level=10, seed=7)
