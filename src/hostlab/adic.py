@@ -2,8 +2,9 @@
 
 A point is stored as an integer numerator over a power of the ambient base,
 so multiplication mod 1 is exact.  A whole xb orbit needs no per-step
-arithmetic: one big division gives floor(2^53 b^N x), and its base-b digits
-(`_int_to_digits`) give every read-out floor(2^53 frac(b^n x)), n <= N,
+arithmetic: one recursive big division (`_big_divmod`) gives
+floor(2^53 b^N x), and its base-b digits (`_int_to_digits`, read from the
+bytes when b = 2^j) give every read-out floor(2^53 frac(b^n x)), n <= N,
 exactly; a character e(m .) evaluated on a read-out is within O(m 2^-53) of
 its exact value.  The module also provides the time-change schedule
 n' = floor(alpha*n), z_n = alpha*n mod 1 for alpha = log b / log a, computed
@@ -27,6 +28,47 @@ from .errors import InputError, PrecisionError
 @lru_cache(maxsize=None)
 def _pow(base: int, exp: int) -> int:
     return base ** exp
+
+
+_DIV_CUTOFF = 2048     # divisor bits below which CPython's own divmod is faster
+
+
+def _div_2n_by_n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2^n, as two
+    divisions of three halves by b's two (Burnikel-Ziegler).  Each trial
+    quotient, from the top halves, is at most 2 too large: b's top bit is set."""
+    if n <= _DIV_CUTOFF:
+        return divmod(a, b)
+    odd = n & 1                               # make n even; b stays normalized
+    a, b, n = a << odd, b << odd, n + odd
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b0 = b >> h, b & mask
+    q, r = 0, a >> n
+    for low in ((a >> h) & mask, a & mask):
+        qi, ri = (mask, r - mask * b1) if r >> h == b1 else _div_2n_by_n(r, b1, h)
+        r = (ri << h | low) - qi * b0
+        while r < 0:
+            qi, r = qi - 1, r + b
+        q = q << h | qi
+    return q, r >> odd
+
+
+def _big_divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for a >= 0 and b > 0, exactly, in the time of a few
+    Karatsuba products: a is cut into chunks of b's bit length, each divided
+    by recursive 2n/n division (Brent & Zimmermann, Modern Computer
+    Arithmetic, 2010, section 1.4.3).  Meant for a at most a few times b's
+    size; CPython's own divmod is quadratic there."""
+    n = b.bit_length()
+    if n <= _DIV_CUTOFF:
+        return divmod(a, b)
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range(a.bit_length() // n * n, -1, -n):
+        qi, r = _div_2n_by_n(r << n | (a >> shift) & mask, b, n)
+        q = q << n | qi
+    return q, r
 
 
 # ---------------------------------------------------------------------------
@@ -60,25 +102,29 @@ class UnitPoint:
         return (self.numerator // _pow(self.base, self.precision - j)) % self.base
 
 
-def _digits_to_int(digits, base: int) -> int:
-    """Positional value of a digit word, divide-and-conquer (fast for long words)."""
-    n = len(digits)
-    if n <= 32:
-        v = 0
-        for d in digits:
-            v = v * base + d
-        return v
-    half = n // 2
-    return _digits_to_int(digits[:half], base) * _pow(base, n - half) + _digits_to_int(digits[half:], base)
+def _digits_per_word(base: int) -> int:
+    """Largest k >= 1 with base**k < 2**64: the digits one uint64 word holds."""
+    return next((k for k in range(64, 1, -1) if base ** k < 1 << 64), 1)
 
 
 def _int_to_digits(value: int, base: int, length: int) -> np.ndarray:
     """The `length` base-`base` digits of 0 <= value < base**length, most
-    significant first, as uint64: divide and conquer down to machine words,
-    then every word is peeled into digits at once."""
-    k = 1                                   # digits per uint64 word
-    while base ** (k + 1) < 1 << 64:
-        k += 1
+    significant first, as uint64.  For base 2^j they are the value's bits in
+    groups of j, read from its bytes in linear time; else the word split."""
+    if base & (base - 1):
+        return _split_digits(value, base, length)
+    j = base.bit_length() - 1
+    raw = np.frombuffer(value.to_bytes(-(-length * j // 8), "big"), np.uint8)
+    out = np.zeros(length, dtype=np.uint64)
+    for col in np.unpackbits(raw)[-length * j:].reshape(length, j).T:
+        out = out << 1 | col
+    return out
+
+
+def _split_digits(value: int, base: int, length: int) -> np.ndarray:
+    """Digits in any base: divide and conquer down to machine words, then
+    every word is peeled into digits at once."""
+    k = _digits_per_word(base)
     words = []
 
     def split(v: int, n: int) -> None:
@@ -100,14 +146,28 @@ def _int_to_digits(value: int, base: int, length: int) -> np.ndarray:
 
 
 def make_point_from_digits(base: int, digits) -> UnitPoint:
-    """Build the point with the given base-a digit word (most significant first)."""
-    digits = list(digits)
-    if not digits:
-        raise InputError("digit word must be nonempty")
-    for d in digits:
-        if not (0 <= int(d) < base):
-            raise InputError(f"digit {d} out of range [0, {base})")
-    return UnitPoint(base, len(digits), _digits_to_int([int(d) for d in digits], base))
+    """Build the point with the given base-a digit word (most significant
+    first): 1-d integers, or floats that are all exactly integral.  Digits
+    are packed k to a uint64 word, then adjacent words are joined level by
+    level through the cached powers of the base, in near-linear time."""
+    d = np.asarray(digits)
+    if d.ndim != 1 or not d.size or not (d.dtype.kind in "iu" or d.dtype.kind == "f"
+                                         and np.isfinite(d).all() and (d == np.round(d)).all()):
+        raise InputError(f"digit word must be a nonempty 1-d sequence of integers, got {d.dtype}")
+    if d.min() < 0 or d.max() >= base:
+        raise InputError(f"digits out of range [0, {base}): {d.min()}..{d.max()}")
+    k = _digits_per_word(base)
+    w = np.concatenate((np.zeros(-len(d) % k, np.uint64), d.astype(np.uint64))).reshape(-1, k)
+    acc = w[:, 0]
+    for col in w[:, 1:].T:
+        acc = acc * base + col
+    words, e = acc.tolist(), k
+    while len(words) > 1:
+        radix = _pow(base, e)
+        words = [0] * (len(words) & 1) + words
+        words = [hi * radix + lo for hi, lo in zip(words[::2], words[1::2])]
+        e *= 2
+    return UnitPoint(base, len(d), words[0])
 
 
 def digits_of(x: UnitPoint, count: int | None = None) -> list[int]:
@@ -154,6 +214,7 @@ class PrecisionBudget:
     L: int
 
     @classmethod
+    @lru_cache(maxsize=None)
     def plan(cls, a: int, b: int, N_max: int, guard_digits: int = 64) -> "PrecisionBudget":
         if a < 2 or b < 2:
             raise InputError("a and b must be >= 2")

@@ -11,6 +11,7 @@ and quadrature problems exit 3.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -159,6 +160,9 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
         "medians_decreasing": {str(m): rep.medians_decreasing[m] for m in cfg.freqs},
         "final_median_ok": {str(m): rep.final_median_ok[m] for m in cfg.freqs},
         "per_sample_seed_keys": rep.seed_keys,
+        "diagnostics": {"precision_budget": {
+            **dataclasses.asdict(rep.budget),
+            "digits_consumed": rep.budget.L - rep.budget.guard_digits}},
         "warnings": warnings,
     })
     return 0

@@ -172,6 +172,19 @@ def wrapped_transform(mu, scale: float, m: int) -> complex:
     return total
 
 
+def digits_to_int(digits, base: int) -> int:
+    """Positional value of a digit word (Python ints), by halves down to
+    32-digit Horner leaves: the reference for make_point_from_digits."""
+    n = len(digits)
+    if n <= 32:
+        v = 0
+        for d in digits:
+            v = v * base + d
+        return v
+    half = n // 2
+    return digits_to_int(digits[:half], base) * base ** (n - half) + digits_to_int(digits[half:], base)
+
+
 def orbit_readouts(num: int, mod: int, b: int, N: int) -> list[int]:
     """floor(2^53 frac(b^n x)) for n = 1..N, x = num/mod, by one exact
     multiply-and-reduce per step; a power-of-2 denominator is read by shifting."""

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from hostlab.adic import (
+    _DIV_CUTOFF,
     KroneckerSchedule,
     PrecisionBudget,
     UnitPoint,
+    _big_divmod,
+    _digits_per_word,
+    _int_to_digits,
+    _split_digits,
     digits_of,
     kronecker_schedule,
     make_point_from_digits,
@@ -17,7 +22,7 @@ from hostlab.adic import (
     to_real,
 )
 from hostlab.errors import InputError, PrecisionError
-from oracles import exp_weyl_bound_check, kronecker_tables
+from oracles import digits_to_int, exp_weyl_bound_check, kronecker_tables
 
 
 def test_make_point_positional_evaluation():
@@ -32,7 +37,77 @@ def test_make_point_rejects_bad_digits():
     with pytest.raises(InputError):
         make_point_from_digits(3, [0, 3])
     with pytest.raises(InputError):
+        make_point_from_digits(3, [0, -1])
+    with pytest.raises(InputError):
         make_point_from_digits(2, [])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("word", [
+    [1.5, 0.7], [1.0, 0.5], [np.nan], [1.0, np.inf], [-np.inf], ["1"], ["1", "0"],
+    [1, "0"], [True, False], [1 + 0j], [None], [[1, 0], [0, 1]], np.array(2),
+    np.array([], dtype=np.int64), (), np.array([1.0, np.nan])])
+def test_make_point_refuses_words_that_are_not_integer_digits(word):
+    with pytest.raises(InputError):
+        make_point_from_digits(3, word)
+
+
+@pytest.mark.filterwarnings("error")
+def test_make_point_accepts_integral_floats_and_any_integer_dtype():
+    assert make_point_from_digits(3, [1.0, 2.0, -0.0]).numerator == 15
+    assert make_point_from_digits(3, np.array([1.0, 2.0])).numerator == 5
+    for dtype in (np.int8, np.uint8, np.int32, np.uint32, np.int64, np.uint64):
+        assert make_point_from_digits(10, np.array([3, 0, 7], dtype=dtype)).numerator == 307
+    assert make_point_from_digits(2 ** 70, [2 ** 62, 5]).numerator == 2 ** 132 + 5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("base", [2, 3, 5, 7, 10, 16, 2 ** 40 + 1])
+def test_make_point_matches_digit_oracle(base):
+    rng = np.random.default_rng(base % 1000)
+    k = _digits_per_word(base)
+    for n in sorted({1, k - 1, k, k + 1, 2 * k + 1, 63_157} - {0}):
+        for word in (np.zeros(n, dtype=np.int64), np.full(n, base - 1),
+                     rng.integers(0, base, n)):
+            x = make_point_from_digits(base, word)
+            assert x.precision == n
+            assert x.numerator == digits_to_int([int(d) for d in word], base)
+        if n < 100:
+            assert make_point_from_digits(base, word.tolist()) == x
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+def test_pow2_digits_match_word_split(j):
+    base = 2 ** j
+    rng = np.random.default_rng(j)
+    for n in (1, 3, 7, 13, 61, 63, 64, 65, 1001, 20_003):
+        top = base ** n - 1
+        for value in (0, top, int(rng.integers(0, 2 ** 62)) % (top + 1),
+                      int.from_bytes(rng.bytes(n * j // 8 + 1), "big") % (top + 1)):
+            got = _int_to_digits(value, base, n)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, _split_digits(value, base, n))
+        assert _int_to_digits(top, base, n).tolist() == [base - 1] * n
+
+
+@pytest.mark.filterwarnings("error")
+def test_big_divmod_matches_divmod():
+    rng = np.random.default_rng(2024)
+
+    def rand(bits):
+        return int.from_bytes(rng.bytes(bits // 8 + 1), "big") >> (8 - bits % 8)
+
+    divisors = [3, 2 ** 61 - 1, 2 ** (_DIV_CUTOFF - 1), 2 ** _DIV_CUTOFF, 2 ** 100_000,
+                3 ** 1292, 3 ** 1293, 3 ** 63_221, 5 ** 30_000]
+    for bits in (_DIV_CUTOFF - 1, _DIV_CUTOFF, _DIV_CUTOFF + 1, 3 * _DIV_CUTOFF + 7, 40_001):
+        divisors.append(rand(bits) | 1 << (bits - 1))
+    for b in divisors:
+        q = rand(2 * b.bit_length() + 53)
+        cases = [0, 1, b - 1, b, b + 1, q * b, q * b + b - 1, rand(b.bit_length() - 1),
+                 rand(b.bit_length() * 2), rand(b.bit_length() * 3 + 17), b * b - 1]
+        for a in cases:
+            assert _big_divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
 
 
 def test_mul_mod1_examples():

@@ -5,6 +5,7 @@ import pytest
 
 import hostlab
 from hostlab import cli, fourier, reports
+from hostlab.adic import PrecisionBudget
 from hostlab.errors import QuadratureError
 from hostlab.reports import CSV_MAGIC, parallel_map, thread_count, version_string
 
@@ -218,6 +219,25 @@ def test_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     for name in ("weyl.csv", "weyl_summary.json", "fourier_cert.csv",
                  "c1_cert.csv"):
         assert read_bytes(outs[1] / name) == read_bytes(outs[3] / name), name
+
+
+def test_weyl_summary_carries_the_precision_budget(tmp_path, monkeypatch):
+    outs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        monkeypatch.setenv("HOSTLAB_THREADS", str(threads))
+        assert cli.main(["weyl", "--gen", "cantor3", "--b", "2", "--m", "1",
+                         "--checkpoints", "300,1500", "--samples", "2", "--k", "2",
+                         "--seed", "5", "--out", str(out)]) == 0
+        outs[threads] = out
+    assert (read_bytes(outs[1] / "weyl_summary.json")
+            == read_bytes(outs[2] / "weyl_summary.json"))
+    summary = json.loads((outs[1] / "weyl_summary.json").read_text())
+    plan = PrecisionBudget.plan(3, 2, 1500, 64)
+    assert summary["diagnostics"]["precision_budget"] == {
+        "a": 3, "b": 2, "N_max": 1500, "guard_digits": 64, "L": plan.L,
+        "digits_consumed": plan.L - 64}
+    assert 3 ** (plan.L - 64) >= 2 ** 1500 > 3 ** (plan.L - 65)
 
 
 def test_only_fourier_cert_uses_the_thread_pool(tmp_path, monkeypatch):
