@@ -9,6 +9,8 @@ exactly; a character e(m .) evaluated on a read-out is within O(m 2^-53) of
 its exact value.  The module also provides the time-change schedule
 n' = floor(alpha*n), z_n = alpha*n mod 1 for alpha = log b / log a, computed
 with a controlled number of bits so every floor is certified unambiguous.
+mpmath, needed only for that alpha, is imported inside `kronecker_schedule`,
+so commands that build no schedule never load it.
 
 Interval convention: all intervals are half-open [k/a^n, (k+1)/a^n); a point
 belongs to the atom whose left endpoint it is.
@@ -16,10 +18,10 @@ belongs to the atom whose left endpoint it is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import InputError, PrecisionError
@@ -222,10 +224,9 @@ class PrecisionBudget:
             raise InputError("N_max must be >= 1")
         if guard_digits < 0:
             raise InputError("guard_digits must be >= 0")
-        with mpmath.workprec(80):
-            est = int(mpmath.ceil(N_max * mpmath.log(b) / mpmath.log(a)))
+        est = math.ceil(N_max * math.log(b) / math.log(a))
         target = b ** N_max
-        # exact adjustment of the ceiling estimate
+        # exact adjustment of the float estimate, off by at most a few
         while a ** est < target:
             est += 1
         while est > 1 and a ** (est - 1) >= target:
@@ -305,6 +306,7 @@ def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> Kroneck
                                  nprime_table=whole.astype(np.int64),
                                  z_table=rem.astype(np.float64) / pa)
 
+    import mpmath
     with mpmath.workprec(float_bits + 48):
         alpha_mp = mpmath.log(b) / mpmath.log(a)
         scaled = int(mpmath.floor(alpha_mp * mpmath.mpf(2) ** float_bits))

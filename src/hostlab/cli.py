@@ -86,19 +86,23 @@ class Options:
             if not isinstance(self._file, dict):
                 raise InputError("config file must hold a flat JSON object")
 
-    def get(self, key: str):
-        flag = self._args.get(key)
-        if flag is not None:
-            return flag
-        if key in self._file:
-            return self._file[key]
-        return self._defaults.get(key)
-
-    def require(self, key: str):
-        value = self.get(key)
+    def get(self, key: str, kind=None):
+        """The value, read by `kind` (int, float, parse_real, ...) unless it
+        is None; a value that `kind` cannot read is a config error."""
+        value = self._args.get(key)
         if value is None:
+            value = self._file.get(key, self._defaults.get(key))
+        if kind is None or value is None:
+            return value
+        try:
+            return kind(value)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise InputError(f"bad value {value!r} for --{key.replace('_', '-')}: {exc}") from exc
+
+    def require(self, key: str, kind=None):
+        if self.get(key) is None:
             raise InputError(f"missing required option --{key.replace('_', '-')}")
-        return value
+        return self.get(key, kind)
 
     def echo(self, keys) -> dict:
         return {k: self.get(k) for k in keys}
@@ -118,13 +122,13 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
     cfg = pipeline.HostExperimentConfig(
         gen=gen,
-        b=int(opts.require("b")),
-        seed=int(opts.require("seed")),
-        samples=int(opts.get("samples")),
-        checkpoints=tuple(_int_list(opts.get("checkpoints"))),
-        freqs=tuple(_int_list(opts.get("m"))),
-        k=int(opts.get("k")),
-        soft_final_threshold=float(opts.get("soft_median_threshold")),
+        b=opts.require("b", int),
+        seed=opts.require("seed", int),
+        samples=opts.get("samples", int),
+        checkpoints=tuple(opts.get("checkpoints", _int_list)),
+        freqs=tuple(opts.get("m", _int_list)),
+        k=opts.get("k", int),
+        soft_final_threshold=opts.get("soft_median_threshold", float),
         label=str(opts.get("label") or ""),
     )
     rep = pipeline.host_experiment(cfg)
@@ -170,7 +174,7 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     battery = str(opts.get("battery"))
-    seed = int(opts.require("seed"))
+    seed = opts.require("seed", int)
     slack = 1e-4
     if battery == "quick":
         densities = fourier.c1_default_battery()[:3]
@@ -216,13 +220,12 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
-    b = int(opts.require("b"))
-    m = int(opts.get("m"))
-    ks = _int_list(opts.get("ks"))
-    samples = int(opts.get("samples"))
-    level = opts.get("level")
-    level = int(level) if level is not None else None
-    seed = int(opts.require("seed"))
+    b = opts.require("b", int)
+    m = opts.get("m", int)
+    ks = opts.get("ks", _int_list)
+    samples = opts.get("samples", int)
+    level = opts.get("level", int)
+    seed = opts.require("seed", int)
 
     ests = [pipeline.proof_chain_quantity(gen, b=b, k=k, m=m, samples=samples,
                                           level=level, seed=seed) for k in ks]
@@ -260,10 +263,10 @@ def _window_function(gen: measures.MeasureGen, name: str, window: int):
 
 def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
-    seed = int(opts.require("seed"))
-    N = int(opts.get("N"))
-    trials = int(opts.get("trials"))
-    window = int(opts.get("window"))
+    seed = opts.require("seed", int)
+    N = opts.get("N", int)
+    trials = opts.get("trials", int)
+    window = opts.get("window", int)
     f = _window_function(gen, str(opts.get("window_func")), window)
     proc = ergodic.SymbolicProcess(gen=gen, seed=seed)
 
@@ -316,14 +319,13 @@ def _digit_functions(gen: measures.MeasureGen, spec: str):
 
 def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
-    seed = int(opts.require("seed"))
-    theta = parse_real(opts.require("theta"))
-    beta_spec = opts.get("beta")
-    beta = theta if beta_spec in (None, "theta") else parse_real(beta_spec)
-    js = _int_list(opts.get("js"))
-    gs = _digit_functions(gen, opts.get("gfuncs"))
-    N = int(opts.get("N"))
-    M = int(opts.get("M"))
+    seed = opts.require("seed", int)
+    theta = opts.require("theta", parse_real)
+    beta = theta if opts.get("beta") in (None, "theta") else opts.get("beta", parse_real)
+    js = opts.get("js", _int_list)
+    gs = opts.get("gfuncs", lambda spec: _digit_functions(gen, spec))
+    N = opts.get("N", int)
+    M = opts.get("M", int)
 
     res = ergodic.time_change_joint_experiment(
         theta, beta, gen, js=js, gs=gs, N=N, M=M, seed=seed)
@@ -355,8 +357,8 @@ def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 
 def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    seed = int(opts.require("seed"))
-    pairs = int(opts.get("pairs"))
+    seed = opts.require("seed", int)
+    pairs = opts.get("pairs", int)
     gen_specs = str(opts.get("gens")).split(",")
     named = {
         "bernoulli": measures.bernoulli(2, [0.3, 0.7]),
@@ -394,15 +396,15 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     mode = str(opts.get("mode"))
-    seed = int(opts.require("seed"))
+    seed = opts.require("seed", int)
     rows = []
 
     if mode in ("dependent", "both"):
-        a = int(opts.get("a"))
-        b = int(opts.get("b"))
+        a = opts.get("a", int)
+        b = opts.get("b", int)
         gen = measures.bernoulli(a, [0.25, 0.75]) if a == 2 else measures.uniform(a)
         cfg = pipeline.HostExperimentConfig(
-            gen=gen, b=b, seed=seed, samples=int(opts.get("samples")),
+            gen=gen, b=b, seed=seed, samples=opts.get("samples", int),
             checkpoints=(10_000, 100_000), freqs=(1,),
             label="negative-control-dependent")
         rep = pipeline.host_experiment(cfg)
@@ -421,7 +423,7 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
                          float(err), ok))
 
     if mode in ("rational", "both"):
-        N = int(opts.get("N_rational"))
+        N = opts.get("N_rational", int)
         reps = N // 3 + 64
         x = adic.make_point_from_digits(2, [0, 0, 1] * reps)
         acc = pipeline.weyl_sum(x, 2, freqs=(1,), checkpoints=(N,))
@@ -486,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key/value JSON file")
         p.add_argument("--out", help="output directory (default hostlab-out)")
         p.add_argument("--seed", type=int, help="master seed (required)")
-        p.add_argument("--strict", action="store_true",
+        p.add_argument("--strict", action="store_const", const=True, default=None,
                        help="soft-threshold misses exit 1")
 
     p = sub.add_parser("weyl", help="checkpointed Weyl sums along xb orbits")

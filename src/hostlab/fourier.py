@@ -17,6 +17,10 @@ and for D > 0 sin^2 s/s^2 is expanded in powers of s: Ci(2Ds) plus elementary
 integrals of s^(2j-1) cos(2Ds), each O(1).  Otherwise sin^2 s cos 2Ds = cos(2Ds)/2
 - cos((2D+2)s)/4 - cos((2D-2)s)/4 and each cosine integrates through Ci (DLMF 6.2,
 6.5), to about eps D/s0; at small s0 that split would cancel 1/s0^2 terms.
+
+scipy is imported inside the two functions that call it (`quad` in
+`c1_bound_check`, `sici` in `_lag_integrals`): at module level it took most
+of every subcommand's start-up, and only fourier-cert and proof-chain use it.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import sici
 
 from .errors import InputError, QuadratureError
 from .measures import AdicMeasure, bernoulli, cantor3, correlation_integral, markov, realize, uniform
@@ -202,6 +204,7 @@ def c1_bound_check(spec: C1DensitySpec, t: float,
     """
     if t == 0:
         raise InputError("t must be nonzero")
+    from scipy.integrate import quad
     w = TAU * t
     re, re_err = quad(spec.f, spec.a, spec.b, weight="cos", wvar=w,
                       limit=400, epsabs=1e-12, epsrel=1e-12)
@@ -239,6 +242,7 @@ class SmoothingParams:
 def _lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
     """J_D of the module docstring for D = 0..K-1, as F(s1) - F(s0) with the
     antiderivative F of the branch that s1 selects, at both ends at once."""
+    from scipy.special import sici
     s = np.array([s1, s0])
     if s1 > 1.0:
         # A_c = -cos(cs)/(2s^2) + c sin(cs)/(2s) - c^2 Ci(cs)/2 reads one rounded argument;

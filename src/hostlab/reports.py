@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +84,7 @@ def parallel_map(fn, items):
     n = thread_count()
     if n <= 1 or len(items) < 2:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor   # only a pooled map loads it
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
 

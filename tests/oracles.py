@@ -264,6 +264,21 @@ def cylinder_phases(x, b: int, k: int, m: int, sched, N: int) -> np.ndarray:
     return phases
 
 
+def precision_budget_L(a: int, b: int, N_max: int, guard_digits: int = 64) -> int:
+    """PrecisionBudget.plan's L from an 80-bit mpmath ceiling estimate,
+    corrected by the same exact comparisons."""
+    import mpmath
+
+    with mpmath.workprec(80):
+        est = int(mpmath.ceil(N_max * mpmath.log(b) / mpmath.log(a)))
+    target = b ** N_max
+    while a ** est < target:
+        est += 1
+    while est > 1 and a ** (est - 1) >= target:
+        est -= 1
+    return est + guard_digits
+
+
 def kronecker_tables(a: int, b: int, N: int, float_bits: int = 128):
     """(n'(n), z(n)) for n = 0..N by the per-step route: an exact q*n // p
     for dependent (a, b), else a 2^float_bits-scaled accumulator carried one

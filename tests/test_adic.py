@@ -22,7 +22,7 @@ from hostlab.adic import (
     to_real,
 )
 from hostlab.errors import InputError, PrecisionError
-from oracles import digits_to_int, exp_weyl_bound_check, kronecker_tables
+from oracles import digits_to_int, exp_weyl_bound_check, kronecker_tables, precision_budget_L
 
 
 def test_make_point_positional_evaluation():
@@ -178,6 +178,16 @@ def test_precision_budget_exact_ceiling():
     assert 3 ** core >= 2 ** 1000 > 3 ** (core - 1)
     # one xb step consumes log_a b digits; budget linear in N_max
     assert PrecisionBudget.plan(3, 2, N_max=2000).L > budget.L
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (2, 3), (10, 7), (2 ** 40 + 1, 3)])
+@pytest.mark.parametrize("N_max", [1, 2, 53, 1000, 10 ** 5])
+@pytest.mark.parametrize("guard", [0, 64])
+def test_precision_budget_float_estimate_gives_the_exact_ceiling(a, b, N_max, guard):
+    L = PrecisionBudget.plan(a, b, N_max, guard).L
+    core, target = L - guard, b ** N_max
+    assert core >= 1 and a ** core >= target > a ** (core - 1)
+    assert L == precision_budget_L(a, b, N_max, guard)
 
 
 def test_kronecker_schedule_log2_over_log3():

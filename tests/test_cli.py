@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +280,60 @@ def test_bad_thread_env_is_config_error_everywhere(argv, tmp_path, monkeypatch):
 def test_parallel_map_preserves_order(monkeypatch):
     monkeypatch.setenv("HOSTLAB_THREADS", "4")
     assert parallel_map(lambda v: v * v, range(17)) == [v * v for v in range(17)]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["time-change", "--gen", "uniform:2", "--theta", "abc"], None),
+    (["time-change", "--gen", "uniform:2", "--theta", "log:2"], None),
+    (["time-change", "--gen", "uniform:2", "--theta", "log:2,1"], None),
+    (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "1k"], None),
+    (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100"], {"samples": "ten"}),
+    (["time-change", "--gen", "uniform:2", "--theta", "0.3", "--gfuncs", "indx"], None),
+], ids=["theta-abc", "theta-log-one-arg", "theta-log-base-one", "checkpoints-1k",
+        "config-samples-ten", "gfuncs-indx"])
+def test_malformed_option_value_is_config_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad value")
+
+
+def test_strict_from_config_file_or_flag(tmp_path):
+    soft_miss = ["weyl", "--gen", "cantor3", "--b", "2", "--m", "1", "--samples", "1",
+                 "--checkpoints", "100", "--soft-median-threshold", "0",
+                 "--seed", "1", "--out", str(tmp_path / "out")]
+    assert cli.main(soft_miss) == 0
+    assert cli.main([*soft_miss, "--strict"]) == 1
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"strict": True}))
+    assert cli.main([*soft_miss, "--config", str(cfg_path)]) == 1
+
+
+IMPORT_PROBE = """
+import json, sys
+import hostlab.cli
+heavy = ("scipy", "scipy.special", "scipy.integrate", "mpmath", "concurrent.futures")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+for name, argv in (("controls", ["controls", "--mode", "rational", "--N-rational", "3000"]),
+                   ("equivariance", ["equivariance", "--pairs", "5"]),
+                   ("proof-chain", ["proof-chain", "--gen", "cantor3", "--b", "2",
+                                    "--ks", "0"])):
+    assert hostlab.cli.main([*argv, "--seed", "1", "--out", name]) == 0, name
+    loaded[name] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_import_footprint_stays_numpy_and_stdlib(tmp_path):
+    # a fresh interpreter: this suite's own imports already loaded scipy and mpmath
+    src = Path(hostlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded["import"] == []
+    assert loaded["controls"] == loaded["equivariance"] == []
+    assert "scipy.special" in loaded["proof-chain"]
+    assert "scipy.integrate" not in loaded["proof-chain"]
