@@ -63,10 +63,17 @@ def parse_real(spec: str) -> float:
     return float(spec)
 
 
+def _int(value) -> int:
+    """An int, an integral float or a decimal string; 2.5 or true is an error, not 2 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _int_list(spec) -> list[int]:
     if isinstance(spec, (list, tuple)):
-        return [int(v) for v in spec]
-    return [int(v) for v in str(spec).split(",") if str(v).strip() != ""]
+        return [_int(v) for v in spec]
+    return [_int(v) for v in str(spec).split(",") if v.strip()]
 
 
 class Options:
@@ -122,12 +129,12 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
     cfg = pipeline.HostExperimentConfig(
         gen=gen,
-        b=opts.require("b", int),
-        seed=opts.require("seed", int),
-        samples=opts.get("samples", int),
+        b=opts.require("b", _int),
+        seed=opts.require("seed", _int),
+        samples=opts.get("samples", _int),
         checkpoints=tuple(opts.get("checkpoints", _int_list)),
         freqs=tuple(opts.get("m", _int_list)),
-        k=opts.get("k", int),
+        k=opts.get("k", _int),
         soft_final_threshold=opts.get("soft_median_threshold", float),
         label=str(opts.get("label") or ""),
     )
@@ -174,7 +181,7 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     battery = str(opts.get("battery"))
-    seed = opts.require("seed", int)
+    seed = opts.require("seed", _int)
     slack = 1e-4
     if battery == "quick":
         densities = fourier.c1_default_battery()[:3]
@@ -220,12 +227,12 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
-    b = opts.require("b", int)
-    m = opts.get("m", int)
+    b = opts.require("b", _int)
+    m = opts.get("m", _int)
     ks = opts.get("ks", _int_list)
-    samples = opts.get("samples", int)
-    level = opts.get("level", int)
-    seed = opts.require("seed", int)
+    samples = opts.get("samples", _int)
+    level = opts.get("level", _int)
+    seed = opts.require("seed", _int)
 
     ests = [pipeline.proof_chain_quantity(gen, b=b, k=k, m=m, samples=samples,
                                           level=level, seed=seed) for k in ks]
@@ -263,10 +270,10 @@ def _window_function(gen: measures.MeasureGen, name: str, window: int):
 
 def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
-    seed = opts.require("seed", int)
-    N = opts.get("N", int)
-    trials = opts.get("trials", int)
-    window = opts.get("window", int)
+    seed = opts.require("seed", _int)
+    N = opts.get("N", _int)
+    trials = opts.get("trials", _int)
+    window = opts.get("window", _int)
     f = _window_function(gen, str(opts.get("window_func")), window)
     proc = ergodic.SymbolicProcess(gen=gen, seed=seed)
 
@@ -319,13 +326,13 @@ def _digit_functions(gen: measures.MeasureGen, spec: str):
 
 def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     gen = parse_generator(opts.require("gen"))
-    seed = opts.require("seed", int)
+    seed = opts.require("seed", _int)
     theta = opts.require("theta", parse_real)
     beta = theta if opts.get("beta") in (None, "theta") else opts.get("beta", parse_real)
     js = opts.get("js", _int_list)
     gs = opts.get("gfuncs", lambda spec: _digit_functions(gen, spec))
-    N = opts.get("N", int)
-    M = opts.get("M", int)
+    N = opts.get("N", _int)
+    M = opts.get("M", _int)
 
     res = ergodic.time_change_joint_experiment(
         theta, beta, gen, js=js, gs=gs, N=N, M=M, seed=seed)
@@ -357,8 +364,8 @@ def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 
 def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    seed = opts.require("seed", int)
-    pairs = opts.get("pairs", int)
+    seed = opts.require("seed", _int)
+    pairs = opts.get("pairs", _int)
     gen_specs = str(opts.get("gens")).split(",")
     named = {
         "bernoulli": measures.bernoulli(2, [0.3, 0.7]),
@@ -396,15 +403,15 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
 
 def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     mode = str(opts.get("mode"))
-    seed = opts.require("seed", int)
+    seed = opts.require("seed", _int)
     rows = []
 
     if mode in ("dependent", "both"):
-        a = opts.get("a", int)
-        b = opts.get("b", int)
+        a = opts.get("a", _int)
+        b = opts.get("b", _int)
         gen = measures.bernoulli(a, [0.25, 0.75]) if a == 2 else measures.uniform(a)
         cfg = pipeline.HostExperimentConfig(
-            gen=gen, b=b, seed=seed, samples=opts.get("samples", int),
+            gen=gen, b=b, seed=seed, samples=opts.get("samples", _int),
             checkpoints=(10_000, 100_000), freqs=(1,),
             label="negative-control-dependent")
         rep = pipeline.host_experiment(cfg)
@@ -423,7 +430,7 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
                          float(err), ok))
 
     if mode in ("rational", "both"):
-        N = opts.get("N_rational", int)
+        N = opts.get("N_rational", _int)
         reps = N // 3 + 64
         x = adic.make_point_from_digits(2, [0, 0, 1] * reps)
         acc = pipeline.weyl_sum(x, 2, freqs=(1,), checkpoints=(N,))

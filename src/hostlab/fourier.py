@@ -9,7 +9,8 @@ transform has the closed form
 with sinc(u) = sin(pi u)/(pi u); no sampling is involved.  Scaling satisfies
 F_m(S_t nu) = F(nu, m t), which is how scale averages are evaluated.
 
-The scale average is closed form too: with R = w * w, c_0 = 1, c_D = 2 (D > 0),
+The scale average is closed form too: with c_D R(D) from `measures._lag_weights`
+(R = w * w, c_0 = 1, c_D = 2 for D > 0; `correlation_integral` sums it too),
 s = pi xi h and s0 = pi |m| p h, |F(xi)|^2 = (sin^2 s/s^2) sum_D c_D R(D) cos(2Ds),
 so int_0^1 |F(m p b^t)|^2 dt = (1/ln b) sum_D c_D R(D) J_D, J_D = int_{s0}^{b s0}
 sin^2 s cos(2Ds)/s^3 ds.  If b s0 <= 1, J_0 = [Ci(2s) - sin^2 s/(2s^2) - sin 2s/(2s)]
@@ -33,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, QuadratureError
-from .measures import AdicMeasure, bernoulli, cantor3, correlation_integral, markov, realize, uniform
+from .measures import (AdicMeasure, _lag_weights, bernoulli, cantor3, correlation_integral, markov,
+                       realize, uniform)
 
 TAU = 2.0 * np.pi
 
@@ -270,14 +272,12 @@ def _lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
 def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
                        prescale: float = 1.0) -> float:
     """integral over t in [0,1] of |F_m(S_{b^t} S_prescale mu)|^2 dt, in the
-    closed form of the module docstring; R comes from one rfft."""
+    closed form of the module docstring; c_D R(D) comes from `_lag_weights`."""
     if prescale <= 0:
         raise InputError("prescale must be positive")
-    K = len(mu.weights)
-    R = np.fft.irfft(np.abs(np.fft.rfft(mu.weights, 2 * K)) ** 2, 2 * K)[:K]
-    R[1:] *= 2.0
+    R = _lag_weights(mu.weights)
     s0 = math.pi * abs(params.m) * prescale * mu.cell_width
-    return float(R @ _lag_integrals(K, s0, params.b_scale * s0)) / math.log(params.b_scale)
+    return float(R @ _lag_integrals(len(R), s0, params.b_scale * s0)) / math.log(params.b_scale)
 
 
 def _scale_bound(params: SmoothingParams) -> float:

@@ -5,6 +5,9 @@ self-similar digit-set measure with equal contraction ratios) produces:
 level-n weight vectors, conditional measures given a finite past, samples,
 entropy, and correlation integrals.  A level-n measure assigns weight w_k to
 the half-open interval [k/a^n, (k+1)/a^n) and is read as piecewise uniform.
+Its correlation integral is the lag sum sum_D c_D R(D) T(r/h - D) over the weight
+autocorrelation R = w * w that `fourier.scaled_sq_integral` also sums; the guard
+r >= 16 h makes that one-sided kernel exact (see `correlation_integral`).
 """
 
 from __future__ import annotations
@@ -311,13 +314,24 @@ def verify_equivariance(gen: MeasureGen, past: PastWord, w: CylinderWord,
 # Correlation integral
 # ---------------------------------------------------------------------------
 
+def _lag_weights(w: np.ndarray) -> np.ndarray:
+    """c_D R(D), D < K: R = w * w by one zero-padded rfft of length 2K, c_0 = 1, c_D = 2."""
+    K = len(w)
+    R = np.fft.irfft(np.abs(np.fft.rfft(w, 2 * K)) ** 2, 2 * K)[:K]
+    R[1:] *= 2.0
+    return R
+
+
 def correlation_integral(mu: AdicMeasure, r: float) -> float:
     """Average mass of the open radius-r ball around a mu-random point.
 
-    Computed in closed form for the piecewise-uniform interpretation: with
-    F the CDF and G its antiderivative (piecewise quadratic), the value is
-    sum_l (w_l/h) * [G(u_{l+1}+r) - G(u_l+r) - G(u_{l+1}-r) + G(u_l-r)].
-    No circular wraparound: the measure lives on [0,1] inside the line.
+    Closed form for the piecewise-uniform interpretation: points of cells D
+    apart differ by (D + U - V) h with U, V uniform on [0, 1], so with T the
+    CDF of U - V the value is sum_D c_D R(D) T(r/h - D) over `_lag_weights`.
+    Lags -D and D share c_D as T(z) + T(-z) = 1.  The exact kernel is
+    T(rho - D) - T(-rho - D), rho = r/h; the guard makes rho >= 16, so the
+    second term is 0 for D >= 0.  No circular wraparound: the measure lives
+    on [0,1] inside the line.
     """
     if r <= 0:
         raise InputError("radius must be positive")
@@ -327,30 +341,10 @@ def correlation_integral(mu: AdicMeasure, r: float) -> float:
             f"cell width {h:g} exceeds r/16 = {r / 16:g}; deepen the level")
     if r >= 1.0:
         return 1.0
-    w = mu.weights
-    K = len(w)
-    W = np.concatenate(([0.0], np.cumsum(w)))            # F at grid points
-    seg = h * (W[:-1] + 0.5 * w)                         # cellwise integral of F
-    Gk = np.concatenate(([0.0], np.cumsum(seg)))         # G at grid points
-    G_total = Gk[-1]
-    dens = w / h
-
-    def G(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        above = t >= 1.0
-        out[above] = G_total + (t[above] - 1.0)
-        mid = (t > 0.0) & ~above
-        tm = t[mid]
-        idx = np.minimum((tm / h).astype(np.int64), K - 1)
-        frac = tm - idx * h
-        out[mid] = Gk[idx] + W[idx] * frac + 0.5 * dens[idx] * frac * frac
-        return out
-
-    grid = np.arange(K + 1, dtype=np.float64) * h
-    upper = np.diff(G(grid + r))
-    lower = np.diff(G(grid - r))
-    return float(np.dot(dens, upper - lower))
+    # T(rho - D) alone: rho >= 16 puts -rho - D below T's support [-1, 1]
+    z = np.clip(r / h - np.arange(len(mu.weights)), -1.0, 1.0)
+    T = np.where(z < 0.0, 0.5 * (1.0 + z) ** 2, 1.0 - 0.5 * (1.0 - z) ** 2)
+    return float(_lag_weights(mu.weights) @ T)
 
 
 # ---------------------------------------------------------------------------

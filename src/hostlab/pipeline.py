@@ -368,9 +368,6 @@ class HostReport:
     seed_keys: list
     budget: PrecisionBudget          # the orbit precision plan every sample used
 
-    def soft_pass(self) -> bool:
-        return all(self.medians_decreasing.values()) and all(self.final_median_ok.values())
-
 
 def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     """Sample points from the generator and record checkpointed Weyl sums.

@@ -1,9 +1,9 @@
 """Independent reference computations used only by the test suite.
 
 Each oracle deliberately takes a different route than the library code it
-checks (pair-offset sums instead of CDF antiderivatives, Monte Carlo or
-panel quadrature of the transform instead of the closed-form scale average,
-explicit interval wrapping instead of frequency identities).
+checks (per-offset dot products instead of an FFT autocorrelation, Monte
+Carlo or panel quadrature of the transform instead of the closed-form scale
+average, explicit interval wrapping instead of frequency identities).
 """
 
 from __future__ import annotations

@@ -299,6 +299,34 @@ def test_malformed_option_value_is_config_error(argv, config, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: bad value")
 
 
+WEYL_SMALL = ["weyl", "--gen", "cantor3", "--b", "2", "--m", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("config", [{"samples": 2.5, "checkpoints": "100"},
+                                    {"samples": 2, "checkpoints": [100.7]},
+                                    {"samples": True, "checkpoints": "100"}],
+                         ids=["samples-2.5", "checkpoints-100.7", "samples-true"])
+def test_non_integral_config_number_is_config_error(config, tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    argv = [*WEYL_SMALL, "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: bad value")
+    assert not (tmp_path / "out" / "weyl.csv").exists()
+
+
+@pytest.mark.parametrize("config", [{"samples": 3, "checkpoints": [100]},
+                                    {"samples": "3", "checkpoints": "100"},
+                                    {"samples": 3.0, "checkpoints": [100.0]}],
+                         ids=["ints", "strings", "integral-floats"])
+def test_integral_config_numbers_are_read(config, tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([*WEYL_SMALL, "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 0
+    rows = (out / "weyl.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+    assert {row.split(",")[2] for row in rows} == {"100"}
+
+
 def test_strict_from_config_file_or_flag(tmp_path):
     soft_miss = ["weyl", "--gen", "cantor3", "--b", "2", "--m", "1", "--samples", "1",
                  "--checkpoints", "100", "--soft-median-threshold", "0",

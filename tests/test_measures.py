@@ -7,6 +7,7 @@ from hostlab.errors import (
     ResolutionError,
     ResourceError,
 )
+from hostlab.fourier import default_measure_battery
 from hostlab.measures import (
     _SCAN_ENTRIES,
     AdicMeasure,
@@ -184,6 +185,25 @@ def test_correlation_cantor_log_slope():
     vals = [correlation_integral(mu, 3.0 ** -j) for j in js]
     slope = np.polyfit(-js * np.log(3.0), np.log(vals), 1)[0]
     assert abs(slope - np.log(2) / np.log(3)) < 0.05
+
+
+def test_correlation_cantor_exact_at_gap_radii():
+    # the level-j middle-third gaps are 3^-j wide, so the radius-3^-j ball
+    # around a point of a level-j cylinder sees exactly that cylinder's mass
+    mu = realize(cantor3(), 9)
+    for j in range(1, 7):
+        assert abs(correlation_integral(mu, 3.0 ** -j) - 2.0 ** -j) < 1e-15
+
+
+def test_correlation_lag_sum_against_brute_force():
+    mus = [mu for _, mu in default_measure_battery()]
+    mus += [shift_push(realize(markov(MARKOV_P), 15), 1),
+            cylinder_condition(realize(cantor3(), 10), word(3, [2]))]
+    for mu in mus:
+        radii = [3.0 ** -j for j in range(1, 40) if mu.cell_width <= 3.0 ** -j / 16]
+        assert radii
+        for r in radii:
+            assert abs(correlation_integral(mu, r) - brute_correlation(mu, r)) < 1e-12
 
 
 def test_equivariance_examples():
