@@ -220,9 +220,17 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
         "smoothing_rows": len(rows),
         "failures": len(bad),
         "all_ok": not bad,
+        "diagnostics": {"worst_margin": {"c1": _worst_margin(c1_rows, ("density", "t")),
+                                         "smoothing": _worst_margin(rows, ("measure", "m", "b", "r"))}},
         "warnings": warnings,
     })
     return 1 if bad else 0
+
+
+def _worst_margin(rows, names) -> dict:
+    """The least margin over rows and the fields naming its row (the first on a tie)."""
+    row = min(rows, key=lambda r: r["margin"])
+    return {"margin": row["margin"], **{k: row[k] for k in names}}
 
 
 def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> int:

@@ -19,6 +19,11 @@ integrals of s^(2j-1) cos(2Ds), each O(1).  Otherwise sin^2 s cos 2Ds = cos(2Ds)
 - cos((2D+2)s)/4 - cos((2D-2)s)/4 and each cosine integrates through Ci (DLMF 6.2,
 6.5), to about eps D/s0; at small s0 that split would cancel 1/s0^2 terms.
 
+R depends only on the measure and J_D only on (K, h, |m| p, b), so the
+smoothing certificate builds R once per measure for both sides and J once per
+(base, level, |m|, b).  Every caller forms s0 and R @ J in `_scale_averages`,
+so a shared value is bit-equal to `scaled_sq_integral`.
+
 scipy is imported inside the two functions that call it (`quad` in
 `c1_bound_check`, `sici` in `_lag_integrals`): at module level it took most
 of every subcommand's start-up, and only fourier-cert and proof-chain use it.
@@ -34,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, QuadratureError
-from .measures import (AdicMeasure, _lag_weights, bernoulli, cantor3, correlation_integral, markov,
-                       realize, uniform)
+from .measures import (AdicMeasure, _lag_correlation, _lag_weights, bernoulli, cantor3,
+                       correlation_integral, markov, realize, uniform)
 
 TAU = 2.0 * np.pi
 
@@ -257,16 +262,34 @@ def _lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
     coef = [1.0]                      # sin^2 s/s^2 = sum_j coef[j] s^(2j), to 1e-17 at s1
     while abs(coef[-1]) * s1 ** (2 * len(coef) - 2) >= 1e-17:
         coef.append(coef[-1] * -4.0 / ((2 * len(coef) + 1) * (2 * len(coef) + 2)))
-    # Re exp(ics) (x_n + i y_n) integrates s^n cos(cs); each coef-weighted term is O(1)
-    c = 2.0 * np.arange(1, K, dtype=np.float64)[:, None]
-    x, y, qx, qy = 0.0, -1.0 / c, 0.0, 0.0
+    # Re exp(ics) (x_n + i y_n) integrates s^n cos(cs); each coef-weighted term is O(1).
+    # Rows s1, s0 update in place; dividing by c (not times 1/c) keeps tests/oracles.py's bits
+    c = 2.0 * np.arange(1, K, dtype=np.float64)
+    x, y, qx, qy, t = (np.zeros((2, K - 1)) for _ in range(5))
+    y[:] = -1.0 / c
     for n in range(1, 2 * len(coef) - 2):
-        x, y = -n * y / c, (n * x - s ** n) / c
+        np.multiply(x, n, out=t)
+        t -= s[:, None] ** n
+        np.multiply(y, -n, out=x)
+        x /= c                                      # x <- -n y / c
+        np.divide(t, c, out=y)                      # y <- (n x - s^n) / c
         if n % 2:
-            qx, qy = qx + coef[(n + 1) // 2] * x, qy + coef[(n + 1) // 2] * y
+            qx += np.multiply(x, coef[(n + 1) // 2], out=t)
+            qy += np.multiply(y, coef[(n + 1) // 2], out=t)
+    cs = s[:, None] * c
+    F = sici(cs)[1]
+    F += np.multiply(np.cos(cs, out=t), qx, out=t)
+    F -= np.multiply(np.sin(cs, out=t), qy, out=t)
     lag0 = sici(2.0 * s)[1] - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
-    F = np.vstack((lag0, sici(c * s)[1] + np.cos(c * s) * qx - np.sin(c * s) * qy))
-    return F @ [1.0, -1.0]
+    return np.concatenate(([lag0[0] - lag0[1]], F[0] - F[1]))
+
+
+def _scale_averages(lags, h: float, m: int, b: float, prescale: float = 1.0) -> list[float]:
+    """(1/ln b) sum_D c_D R(D) J_D for each c_D R(D) in lags, all of one
+    length K and cell width h: J_D is computed once, shared, then dropped."""
+    s0 = math.pi * abs(m) * prescale * h
+    J = _lag_integrals(len(lags[0]), s0, b * s0)
+    return [float(R @ J) / math.log(b) for R in lags]
 
 
 def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
@@ -275,9 +298,8 @@ def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
     closed form of the module docstring; c_D R(D) comes from `_lag_weights`."""
     if prescale <= 0:
         raise InputError("prescale must be positive")
-    R = _lag_weights(mu.weights)
-    s0 = math.pi * abs(params.m) * prescale * mu.cell_width
-    return float(R @ _lag_integrals(len(R), s0, params.b_scale * s0)) / math.log(params.b_scale)
+    return _scale_averages([_lag_weights(mu.weights)], mu.cell_width, params.m,
+                           params.b_scale, prescale)[0]
 
 
 def _scale_bound(params: SmoothingParams) -> float:
@@ -310,20 +332,33 @@ def smoothing_certificate(measures, ms, bs, rs, slack: float = 1e-4,
                           parallel_map=map) -> list[dict]:
     """One row per (measure, m, b, r): lhs, rhs, margin, ok.
 
-    The scale average is computed once per (measure, |m|, b), for both signs
-    of m and every r, and the correlation integral once per (measure, r).
+    One R per distinct measure serves its scale averages and every radius.
+    One `parallel_map` item per (base, level, |m|, b) computes J, gives each
+    measure of that group its lhs and drops J.  Each lhs is bit-equal to
+    `scaled_sq_integral` and each rhs to `smoothing_rhs` (module docstring).
     """
     measures = list(measures)
-    keys = list(dict.fromkeys((mu, abs(m), b) for _, mu in measures for m in ms for b in bs))
-    lhs_by_key = dict(zip(keys, parallel_map(lambda key: scaled_sq_integral(
-        key[0], SmoothingParams(b_scale=key[2], m=key[1], r=rs[0])), keys)))
+    grid = [SmoothingParams(b_scale=b, m=m, r=r) for m, b, r in itertools.product(ms, bs, rs)]
+    if not grid:
+        return []
+    lags = {mu: _lag_weights(mu.weights) for _, mu in measures}
+    groups: dict[tuple, list] = {}
+    for mu, (m, b) in itertools.product(lags, dict.fromkeys((abs(p.m), p.b_scale) for p in grid)):
+        groups.setdefault((mu.base, mu.level, m, b), []).append(mu)
+
+    def group_lhs(item):
+        (_, _, m, b), mus = item
+        values = _scale_averages([lags[mu] for mu in mus], mus[0].cell_width, m, b)
+        return [((mu, m, b), v) for mu, v in zip(mus, values)]
+
+    lhs_by_key = dict(itertools.chain.from_iterable(parallel_map(group_lhs, groups.items())))
     rows = []
     for label, mu in measures:
-        corr = [correlation_integral(mu, r) for r in rs]
-        for m, b, (r, c) in itertools.product(ms, bs, zip(rs, corr)):
-            lhs = lhs_by_key[mu, abs(m), b]
-            rhs = _scale_bound(SmoothingParams(b_scale=b, m=m, r=r)) + c
-            rows.append({"measure": label, "m": m, "b": b, "r": r, "lhs": lhs,
+        corr = {r: _lag_correlation(lags[mu], mu.cell_width, r) for r in rs}
+        for p in grid:
+            lhs = lhs_by_key[mu, abs(p.m), p.b_scale]
+            rhs = _scale_bound(p) + corr[p.r]
+            rows.append({"measure": label, "m": p.m, "b": p.b_scale, "r": p.r, "lhs": lhs,
                          "rhs": rhs, "margin": rhs - lhs, "ok": lhs <= rhs + slack})
     return rows
 

@@ -333,18 +333,23 @@ def correlation_integral(mu: AdicMeasure, r: float) -> float:
     second term is 0 for D >= 0.  No circular wraparound: the measure lives
     on [0,1] inside the line.
     """
+    return _lag_correlation(_lag_weights(mu.weights), mu.cell_width, r)
+
+
+def _lag_correlation(R: np.ndarray, h: float, r: float) -> float:
+    """`correlation_integral` at radius r from the `_lag_weights` R of a
+    measure of cell width h, so callers that hold R do not rebuild it."""
     if r <= 0:
         raise InputError("radius must be positive")
-    h = mu.cell_width
     if h > r / 16.0:
         raise ResolutionError(
             f"cell width {h:g} exceeds r/16 = {r / 16:g}; deepen the level")
     if r >= 1.0:
         return 1.0
     # T(rho - D) alone: rho >= 16 puts -rho - D below T's support [-1, 1]
-    z = np.clip(r / h - np.arange(len(mu.weights)), -1.0, 1.0)
+    z = np.clip(r / h - np.arange(len(R)), -1.0, 1.0)
     T = np.where(z < 0.0, 0.5 * (1.0 + z) ** 2, 1.0 - 0.5 * (1.0 - z) ** 2)
-    return float(_lag_weights(mu.weights) @ T)
+    return float(R @ T)
 
 
 # ---------------------------------------------------------------------------

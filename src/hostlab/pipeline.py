@@ -32,13 +32,14 @@ from .adic import (
     multiplicatively_dependent,
 )
 from .errors import InputError, NullCylinderError, PrecisionError
-from .fourier import TAU, SmoothingParams, ft_adic_many, scaled_sq_integral
+from .fourier import TAU, _scale_averages, ft_adic_many
 from .measures import (
     MARKOV,
     MeasureGen,
     PastWord,
+    _lag_correlation,
+    _lag_weights,
     conditional_on_past,
-    correlation_integral,
     entropy,
     sample_digits,
     sample_past,
@@ -301,16 +302,16 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
         level = max(math.ceil(k / 2.0 + math.log(16.0) / math.log(a)) + 2, 8)
 
     prescale = float(a) ** k
-    params = SmoothingParams(b_scale=float(a), m=m, r=r)
-
     lhs_cache: dict[int, tuple[float, float]] = {}
 
     def values_for(state_key: int, past: PastWord) -> tuple[float, float]:
         if state_key not in lhs_cache:
+            # one c_D R(D) for both sides; the values equal scaled_sq_integral
+            # and correlation_integral bit for bit
             mu = conditional_on_past(gen, past, level)
-            lhs = scaled_sq_integral(mu, params, prescale=prescale)
-            corr = correlation_integral(mu, r)
-            lhs_cache[state_key] = (lhs, corr)
+            R = _lag_weights(mu.weights)
+            lhs = _scale_averages([R], mu.cell_width, m, float(a), prescale)[0]
+            lhs_cache[state_key] = (lhs, _lag_correlation(R, mu.cell_width, r))
         return lhs_cache[state_key]
 
     lhs_vals = np.empty(samples)

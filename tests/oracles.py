@@ -121,6 +121,39 @@ def panel_scaled_sq(mu, params, prescale: float = 1.0, nodes: int = 16,
         {"panels": panels, "last": prev, "tol": tol, "m": m, "b": b})
 
 
+def lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
+    """J_D of `hostlab.fourier`'s module docstring for D = 0..K-1, as
+    F(s1) - F(s0) with the antiderivative F of the branch that s1 selects, at
+    both ends at once.
+
+    The library's former `_lag_integrals`, kept as it was: the same formulas
+    on (K, 2) broadcast temporaries, so the in-place form must equal it bit
+    for bit."""
+    from scipy.special import sici
+    s = np.array([s1, s0])
+    if s1 > 1.0:
+        # A_c = -cos(cs)/(2s^2) + c sin(cs)/(2s) - c^2 Ci(cs)/2 reads one rounded argument;
+        # regrouping the three cosines by trig identities would lose about eps D^2
+        d = np.arange(1, K + 1, dtype=np.float64)[:, None]
+        x = (2.0 * s) * d
+        A = np.vstack((-0.5 / s ** 2,
+                       -np.cos(x) / (2.0 * s * s) + d * np.sin(x) / s - 2.0 * d * d * sici(x)[1]))
+        return (0.5 * A[:K] - 0.25 * A[1:] - 0.25 * A[np.abs(np.arange(K) - 1)]) @ [1.0, -1.0]
+    coef = [1.0]                      # sin^2 s/s^2 = sum_j coef[j] s^(2j), to 1e-17 at s1
+    while abs(coef[-1]) * s1 ** (2 * len(coef) - 2) >= 1e-17:
+        coef.append(coef[-1] * -4.0 / ((2 * len(coef) + 1) * (2 * len(coef) + 2)))
+    # Re exp(ics) (x_n + i y_n) integrates s^n cos(cs); each coef-weighted term is O(1)
+    c = 2.0 * np.arange(1, K, dtype=np.float64)[:, None]
+    x, y, qx, qy = 0.0, -1.0 / c, 0.0, 0.0
+    for n in range(1, 2 * len(coef) - 2):
+        x, y = -n * y / c, (n * x - s ** n) / c
+        if n % 2:
+            qx, qy = qx + coef[(n + 1) // 2] * x, qy + coef[(n + 1) // 2] * y
+    lag0 = sici(2.0 * s)[1] - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
+    F = np.vstack((lag0, sici(c * s)[1] + np.cos(c * s) * qx - np.sin(c * s) * qy))
+    return F @ [1.0, -1.0]
+
+
 def direct_pushforward_transform(gen, past, xdigits, nprime: int, k: int,
                                  b: int, n: int, m: int, depth: int = 6) -> complex:
     """Transform of the n-step xb image of the k-scaled conditional measure

@@ -224,6 +224,41 @@ def test_byte_identical_across_thread_counts(tmp_path, monkeypatch):
         assert read_bytes(outs[1] / name) == read_bytes(outs[3] / name), name
 
 
+def _csv_rows(path):
+    # split from the right: c1 density labels such as quadratic_bump[0,1] hold a comma
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, line.rsplit(",", len(header) - 1))) for line in lines[2:]]
+
+
+def test_default_fourier_cert_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+    # the default battery's three base-2 level-14 measures share each J across pool items
+    outs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        monkeypatch.setenv("HOSTLAB_THREADS", str(threads))
+        assert cli.main(["fourier-cert", "--battery", "default", "--seed", "7",
+                         "--out", str(out)]) == 0
+        outs[threads] = out
+    for name in ("fourier_cert.csv", "c1_cert.csv", "fourier_cert_summary.json"):
+        assert read_bytes(outs[1] / name) == read_bytes(outs[2] / name), name
+
+
+@pytest.mark.parametrize("battery", ["quick", "default"])
+def test_fourier_cert_summary_names_the_worst_margin_rows(battery, tmp_path):
+    assert cli.main(["fourier-cert", "--battery", battery, "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+    worst = json.loads((tmp_path / "fourier_cert_summary.json").read_text())[
+        "diagnostics"]["worst_margin"]
+    for cert, csv_name, names in (("c1", "c1_cert.csv", ("density", "t")),
+                                  ("smoothing", "fourier_cert.csv", ("measure", "m", "b", "r"))):
+        rows = _csv_rows(tmp_path / csv_name)
+        low = min(rows, key=lambda r: float(r["margin"]))
+        assert worst[cert]["margin"] == float(low["margin"])
+        assert worst[cert]["margin"] == min(float(r["margin"]) for r in rows)
+        assert {k: reports.fmt(worst[cert][k]) for k in names} == {k: low[k] for k in names}
+
+
 def test_weyl_summary_carries_the_precision_budget(tmp_path, monkeypatch):
     outs = {}
     for threads in (1, 2):

@@ -9,6 +9,7 @@ from hostlab.errors import InputError, QuadratureError
 from hostlab.fourier import (
     SmoothingParams,
     _ft_structured,
+    _lag_integrals,
     c1_bound_check,
     c1_certificate,
     c1_default_battery,
@@ -25,9 +26,9 @@ from hostlab.fourier import (
 )
 from hostlab.measures import (
     AdicMeasure,
+    _lag_weights,
     bernoulli,
     cantor3,
-    correlation_integral,
     cylinder_condition,
     markov,
     realize,
@@ -35,7 +36,8 @@ from hostlab.measures import (
     uniform,
     word,
 )
-from oracles import cantor_transform, mc_scaled_sq, panel_scaled_sq, wrapped_transform
+from oracles import (cantor_transform, lag_integrals, mc_scaled_sq, panel_scaled_sq,
+                     wrapped_transform)
 
 TAU = 2.0 * math.pi
 
@@ -217,15 +219,16 @@ def test_smoothing_certificate_rows_match_per_row_rhs(monkeypatch):
     rs = [3.0 ** -j for j in (1, 3)]
     calls = []
 
-    def counted(mu, r):
-        calls.append((id(mu), r))
-        return correlation_integral(mu, r)
+    def counted(w):
+        calls.append(id(w))
+        return _lag_weights(w)
 
-    monkeypatch.setattr(fourier, "correlation_integral", counted)
+    # one c_D R(D) per measure serves both the scale averages and every radius
+    monkeypatch.setattr(fourier, "_lag_weights", counted)
     rows = smoothing_certificate(measures, ms=[1, -2], bs=[2.0, math.e], rs=rs)
     monkeypatch.undo()
     assert len(rows) == 2 * 2 * 2 * 2
-    assert sorted(calls) == sorted({(id(mu), r) for _, mu in measures for r in rs})
+    assert sorted(calls) == sorted(id(mu.weights) for _, mu in measures)
     by_label = dict(measures)
     for row in rows:
         params = SmoothingParams(b_scale=row["b"], m=row["m"], r=row["r"])
@@ -307,20 +310,27 @@ def test_lag_integrals_against_mpmath(s0, b):
                 assert abs(direct - want) < 1e-20, D
 
 
+def _lag_integral_args(measures, ms, bs):
+    """(K, s0, b s0) of each distinct (base, level, |m|, b), s0 formed as the library does."""
+    keys = {(mu.base, mu.level, abs(m), b) for _, mu in measures for m in ms for b in bs}
+    return [(a ** n, s0, b * s0) for a, n, m, b in keys
+            for s0 in [math.pi * m * 1.0 * float(a) ** -n]]
+
+
 def test_smoothing_certificate_shares_lhs_across_signs_and_radii(monkeypatch):
     measures = [("cantor3", realize(cantor3(), 9)), ("uniform2", realize(uniform(2), 10))]
     ms, bs, rs = [1, -1, -2, 2, 3], [2.0, math.e], [3.0 ** -j for j in (1, 3)]
     calls = []
 
-    def counted(mu, params, prescale=1.0):
-        calls.append((id(mu), abs(params.m), params.b_scale))
-        return scaled_sq_integral(mu, params, prescale)
+    def counted(K, s0, s1):
+        calls.append((K, s0, s1))
+        return _lag_integrals(K, s0, s1)
 
-    monkeypatch.setattr(fourier, "scaled_sq_integral", counted)
+    # one J per (base, level, |m|, b): both signs of m and every r share it
+    monkeypatch.setattr(fourier, "_lag_integrals", counted)
     rows = smoothing_certificate(measures, ms, bs, rs)
     monkeypatch.undo()
-    assert sorted(calls) == sorted({(id(mu), abs(m), b) for _, mu in measures
-                                    for m in ms for b in bs})
+    assert sorted(calls) == sorted(_lag_integral_args(measures, ms, bs))
     by_label = dict(measures)
     by_key = {(r["measure"], r["m"], r["b"], r["r"]): r for r in rows}
     assert len(by_key) == len(rows) == 2 * 5 * 2 * 2
@@ -331,6 +341,65 @@ def test_smoothing_certificate_shares_lhs_across_signs_and_radii(monkeypatch):
         if twin is not None:
             assert {k: v for k, v in twin.items() if k != "m"} == \
                 {k: v for k, v in row.items() if k != "m"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [1, 2, 3, 729, 16384, 19683])
+def test_lag_integrals_equal_the_broadcast_oracle(K):
+    # s1 = b s0 on both sides of 1 selects both branches; the battery's s0 = pi |m| h too
+    cases = [(math.pi * m * 1.0 * h, b) for m in range(1, 9) for h in (2.0 ** -14, 3.0 ** -9)
+             for b in (2.0, 10.0)]
+    cases += [(0.3, 2.0), (0.45, 2.0), (0.5, 2.0), (0.3, 3.0 + 1e-9), (0.35, 3.0), (0.6, 10.0)]
+    assert {b * s0 > 1.0 for s0, b in cases} == {False, True}
+    for s0, b in cases:
+        got, want = _lag_integrals(K, s0, b * s0), lag_integrals(K, s0, b * s0)
+        assert got.shape == want.shape == (K,)
+        assert np.array_equal(got, want), (K, s0, b)
+
+
+def test_default_battery_certificate_rows_equal_the_per_row_functions(monkeypatch):
+    # the CLI's default grid; three base-2 level-14 measures share each J
+    measures = default_measure_battery(7)
+    ms = [m for mm in range(1, 9) for m in (mm, -mm)]
+    bs, rs = [2.0, 10.0], [3.0 ** -j for j in range(1, 7)]
+    weight_calls, lag_calls = [], []
+
+    def count_weights(w):
+        weight_calls.append(id(w))
+        return _lag_weights(w)
+
+    def count_lags(K, s0, s1):
+        lag_calls.append((K, s0, s1))
+        return _lag_integrals(K, s0, s1)
+
+    monkeypatch.setattr(fourier, "_lag_weights", count_weights)
+    monkeypatch.setattr(fourier, "_lag_integrals", count_lags)
+    rows = smoothing_certificate(measures, ms, bs, rs)
+    monkeypatch.undo()
+    assert sorted(weight_calls) == sorted(id(mu.weights) for _, mu in measures)
+    assert sorted(lag_calls) == sorted(_lag_integral_args(measures, ms, bs))
+    assert len(lag_calls) == 2 * 8 * 2 and len(rows) == 4 * 16 * 2 * 6
+    by_label = dict(measures)
+    lhs = {}
+    for row in rows:
+        mu = by_label[row["measure"]]
+        params = SmoothingParams(b_scale=row["b"], m=row["m"], r=row["r"])
+        key = (row["measure"], abs(row["m"]), row["b"])
+        if key not in lhs:
+            lhs[key] = scaled_sq_integral(mu, params)
+        assert row["lhs"] == lhs[key], row
+        assert row["rhs"] == smoothing_rhs(mu, params), row
+
+
+def test_smoothing_certificate_empty_grids_and_bad_values():
+    measures = [("cantor3", realize(cantor3(), 7))]
+    assert smoothing_certificate(measures, [], [2.0], [0.5]) == []
+    assert smoothing_certificate(measures, [1], [], [0.5]) == []
+    assert smoothing_certificate(measures, [1], [2.0], []) == []
+    for ms, bs, rs in (([1, 0], [2.0], [0.5]), ([1], [2.0, 1.0], [0.5]),
+                       ([1], [2.0], [0.5, 0.0]), ([1], [2.0], [-0.5])):
+        with pytest.raises(InputError):
+            smoothing_certificate(measures, ms, bs, rs)
 
 
 def test_e_helper():
