@@ -21,8 +21,10 @@ integrals of s^(2j-1) cos(2Ds), each O(1).  Otherwise sin^2 s cos 2Ds = cos(2Ds)
 
 R depends only on the measure and J_D only on (K, h, |m| p, b), so the
 smoothing certificate builds R once per measure for both sides and J once per
-(base, level, |m|, b).  Every caller forms s0 and R @ J in `_scale_averages`,
-so a shared value is bit-equal to `scaled_sq_integral`.
+(base, level, |m|, b).  Every caller forms s0 and the lag sum in
+`_scale_averages`, so a shared value is bit-equal to `scaled_sq_integral`.
+The lag sum is numpy's pairwise `np.sum(R * J)`, not the BLAS dot `R @ J`,
+whose summation order follows the BLAS thread count.
 
 scipy is imported inside the two functions that call it (`quad` in
 `c1_bound_check`, `sici` in `_lag_integrals`): at module level it took most
@@ -289,7 +291,7 @@ def _scale_averages(lags, h: float, m: int, b: float, prescale: float = 1.0) -> 
     length K and cell width h: J_D is computed once, shared, then dropped."""
     s0 = math.pi * abs(m) * prescale * h
     J = _lag_integrals(len(lags[0]), s0, b * s0)
-    return [float(R @ J) / math.log(b) for R in lags]
+    return [float(np.sum(R * J)) / math.log(b) for R in lags]
 
 
 def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,

@@ -26,8 +26,8 @@ MARKOV = "markov"
 IFS_DIGITS = "ifs_digits"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+def _freeze(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -41,7 +41,8 @@ class MeasureGen:
     """Symbolic generator of a shift-invariant digit measure.
 
     kind 'bernoulli': i.i.d. digits with probability vector p (length a).
-    kind 'markov':    stationary chain with stochastic matrix P and pi P = pi.
+    kind 'markov':    stationary chain with stochastic matrix P and pi P = pi;
+                      `steps` is its `StepTable` for `sample_digits`.
     kind 'ifs_digits': digits restricted to a subset D with weights on D
                        (equal-ratio self-similar measure); stored as the
                        full-length vector p with zeros off D.
@@ -54,6 +55,25 @@ class MeasureGen:
     pi: np.ndarray | None = None
     digits: tuple[int, ...] | None = None
     label: str = ""
+    steps: StepTable | None = field(default=None, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class StepTable:
+    """A Markov chain's digit steps, built once by `markov`.
+
+    With B the distinct values across all rows of cumsum P, a uniform u in
+    [B_(k-1), B_k) takes every row s to T_u(s) = min(searchsorted(cum[s], u,
+    "right"), l_s), l_s the last positive entry of row s, and that map is
+    maps[k] for every such u.  For a^a <= 256 a map is the code
+    sum_s T(s) a^s and composition[g a^a + f] is the code of g o f;
+    otherwise maps holds rows and composition is None.
+    """
+
+    breaks: np.ndarray
+    maps: np.ndarray
+    composition: np.ndarray | None
+    chunk: int              # digits per scan chunk
 
 
 def bernoulli(base: int, p) -> MeasureGen:
@@ -91,7 +111,33 @@ def markov(P, pi=None) -> MeasureGen:
         raise InputError("pi is not stationary for P (pi P != pi within 1e-12)")
     pi = np.clip(pi, 0.0, None)
     return MeasureGen(kind=MARKOV, base=a, P=_freeze(P), pi=_freeze(pi),
-                      label=f"markov({a})")
+                      label=f"markov({a})", steps=_step_table(P))
+
+
+_SCAN_ENTRIES = 1 << 15   # scan-table entries per chunk: codes, or (chunk, a) rows
+
+
+def _step_table(P: np.ndarray) -> StepTable:
+    a = len(P)
+    cum = np.cumsum(P, axis=1)
+    breaks = np.unique(cum)
+    if (len(breaks) + 1) * a > MAX_WEIGHT_ENTRIES:
+        raise ResourceError(f"the step table of a {a}-state chain has "
+                            f"{(len(breaks) + 1) * a} entries, over the weight-vector budget")
+    lefts = np.concatenate(([0.0], breaks))     # left ends; u < B_0 reads 0.0
+    maps = np.empty((len(lefts), a), dtype=np.int64)
+    for s, row in enumerate(cum):
+        last = np.flatnonzero(P[s])[-1]
+        maps[:, s] = np.minimum(np.searchsorted(row, lefts, side="right"), last)
+    composition = None
+    if a ** a <= 256:
+        powers = a ** np.arange(a)
+        decoded = np.arange(a ** a)[:, None] // powers % a      # map of each code
+        # decoded[:, decoded][g, f, s] = g(f(s))
+        composition = _freeze((decoded[:, decoded] @ powers).ravel(), np.int64)
+        maps = maps @ powers
+    return StepTable(breaks=_freeze(breaks), maps=_freeze(maps, np.int64),
+                     composition=composition, chunk=max(1, _SCAN_ENTRIES // maps[0].size))
 
 
 def ifs_digits(base: int, digits, weights=None) -> MeasureGen:
@@ -349,14 +395,28 @@ def _lag_correlation(R: np.ndarray, h: float, r: float) -> float:
     # T(rho - D) alone: rho >= 16 puts -rho - D below T's support [-1, 1]
     z = np.clip(r / h - np.arange(len(R)), -1.0, 1.0)
     T = np.where(z < 0.0, 0.5 * (1.0 + z) ** 2, 1.0 - 0.5 * (1.0 - z) ** 2)
-    return float(R @ T)
+    return float(np.sum(R * T))     # pairwise: a BLAS dot's order follows its threads
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
-_SCAN_ENTRIES = 1 << 15   # (chunk, a) transition-table entries per scan chunk
+def _scan(x: np.ndarray, compose) -> None:
+    """Inclusive prefix scan in place, x[i] <- x[i] o ... o x[0], in O(len(x))
+    compositions (Blelloch 1990).  The up-sweep leaves the composite of each
+    aligned block of 2d maps at the block's last entry; the down-sweep then
+    composes each entry that still lacks its prefix with the prefix ending d
+    before it.  The index ranges hold for any length, so nothing is padded."""
+    L = len(x)
+    d = 1
+    while 2 * d <= L:
+        x[2 * d - 1::2 * d] = compose(x[2 * d - 1::2 * d], x[d - 1:L - d:2 * d])
+        d *= 2
+    d //= 2
+    while d:
+        x[3 * d - 1::2 * d] = compose(x[3 * d - 1::2 * d], x[2 * d - 1:L - d:2 * d])
+        d //= 2
 
 
 def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
@@ -364,11 +424,13 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
     """n digits of the stationary process; `start` conditions a Markov chain
     on its previous symbol.
 
-    Markov digits are exact: with the uniforms drawn before the start state,
-    the step map of digit i is T_i(s) = min(searchsorted(cumsum P[s], u_i), l_s)
-    with l_s the last positive entry of row s (of pi for the start draw), and
-    a Hillis-Steele prefix scan (F_i <- F_i o F_(i-d), d = 1, 2, 4, ...)
-    composes them per chunk, so digit i is T_i o ... o T_0(start).
+    Markov digits are exact: with the uniforms drawn before the start state
+    (drawn from pi and clamped to its last positive entry, as each step is
+    to its row's), digit i is T_i o ... o T_0(start), T_i the step map of
+    u_i from the generator's `StepTable` (one searchsorted into its breaks).  Map 0 of each chunk is
+    replaced by the constant map T_0(state), so every prefix composite that
+    `_scan` forms is constant and its value is the digit; the chunk's last
+    digit is the state carried into the next chunk.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -377,29 +439,31 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
         return rng.choice(a, size=n, p=gen.p / gen.p.sum())
     if start is not None and not 0 <= start < a:
         raise InputError(f"start state {start} outside 0..{a - 1}")
-    cum = np.cumsum(gen.P, axis=1)
     us = rng.random(n)
     if start is None:
         start = min(np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right"),
                     np.flatnonzero(gen.pi)[-1])
     state = int(start)
-    last = [np.flatnonzero(row)[-1] for row in gen.P]
+    steps = gen.steps
+    table = steps.composition
+    if table is None:
+        def compose(g, f):
+            return np.take_along_axis(g, f, axis=1)
+    else:
+        def compose(g, f):
+            return table.take(g * a ** a + f)
+        ones = (a ** a - 1) // (a - 1)    # code of the constant map 1
     out = np.empty(n, dtype=np.int64)
-    chunk = max(1, _SCAN_ENTRIES // a)
-    rows = np.arange(0, min(chunk, n) * a, a)[:, None]    # flat offset of each row
-    for lo in range(0, n, chunk):
-        u = us[lo:lo + chunk]
-        F = np.empty((len(u), a), dtype=np.int64)
-        for s in range(a):
-            F[:, s] = np.searchsorted(cum[s], u, side="right")
-        np.minimum(F, last, out=F)
-        d = 1
-        while d < len(u):
-            # a flat take: 1.6-1.8x faster than take_along_axis at a = 2, 3
-            F[d:] = F.take(rows[d:len(u)] + F[:-d])
-            d *= 2
-        out[lo:lo + len(u)] = F[:, state]
-        state = out[lo + len(u) - 1]
+    for lo in range(0, n, steps.chunk):
+        ids = np.searchsorted(steps.breaks, us[lo:lo + steps.chunk], side="right")
+        x = steps.maps.take(ids, axis=0)
+        if table is None:           # map 0 becomes the constant map T_0(state)
+            x[0] = x[0, state]
+        else:
+            x[0] = x[0] // a ** state % a * ones
+        _scan(x, compose)
+        out[lo:lo + len(x)] = x[:, 0] if table is None else x % a
+        state = int(out[lo + len(x) - 1])
     return out
 
 

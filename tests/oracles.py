@@ -8,6 +8,7 @@ average, explicit interval wrapping instead of frequency identities).
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -231,20 +232,21 @@ def orbit_readouts(num: int, mod: int, b: int, N: int) -> list[int]:
 
 
 def markov_digits(gen, n: int, rng: np.random.Generator, start=None) -> np.ndarray:
-    """n Markov digits by one searchsorted per digit: the uniforms first,
+    """n Markov digits by one binary search per digit: the uniforms first,
     then the stationary start draw, each state clamped to the last state of
-    positive probability in its row (in pi for the start draw)."""
-    cum = np.cumsum(gen.P, axis=1)
+    positive probability in its row (in pi for the start draw).  bisect_right
+    on Python floats counts the entries <= u, as searchsorted(side="right")."""
+    cum = np.cumsum(gen.P, axis=1).tolist()
     last = [int(np.flatnonzero(row)[-1]) for row in gen.P]
     out = np.empty(n, dtype=np.int64)
-    us = rng.random(n)
+    us = rng.random(n).tolist()
     if start is None:
-        state = int(np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right"))
+        state = bisect.bisect_right(np.cumsum(gen.pi).tolist(), rng.random())
         state = min(state, int(np.flatnonzero(gen.pi)[-1]))
     else:
         state = int(start)
-    for i in range(n):
-        state = min(int(np.searchsorted(cum[state], us[i], side="right")), last[state])
+    for i, u in enumerate(us):
+        state = min(bisect.bisect_right(cum[state], u), last[state])
         out[i] = state
     return out
 

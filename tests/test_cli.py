@@ -400,3 +400,19 @@ def test_import_footprint_stays_numpy_and_stdlib(tmp_path):
     assert loaded["controls"] == loaded["equivariance"] == []
     assert "scipy.special" in loaded["proof-chain"]
     assert "scipy.integrate" not in loaded["proof-chain"]
+
+
+def test_scale_average_bytes_do_not_follow_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count at load, so each setting needs its own interpreter
+    src = Path(hostlab.__file__).resolve().parents[1]
+    runs = (["fourier-cert", "--battery", "default"],
+            ["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", "0,2,4,6,8,10"])
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        for argv in runs:
+            out = subprocess.run([sys.executable, "-m", "hostlab.cli", *argv, "--seed", "7",
+                                  "--out", str(tmp_path / threads)],
+                                 env=env, capture_output=True, text=True, timeout=600)
+            assert out.returncode == 0, out.stderr
+    for name in ("fourier_cert.csv", "proof_chain.csv"):
+        assert read_bytes(tmp_path / "1" / name) == read_bytes(tmp_path / "2" / name), name

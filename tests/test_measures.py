@@ -9,7 +9,6 @@ from hostlab.errors import (
 )
 from hostlab.fourier import default_measure_battery
 from hostlab.measures import (
-    _SCAN_ENTRIES,
     AdicMeasure,
     PastWord,
     bernoulli,
@@ -273,6 +272,8 @@ SHORT = 5e-13
 SCAN_CHAINS = {
     2: [[0.0, 1.0], [0.4, 0.6 - SHORT]],
     3: [[0.0, 1.0, 0.0], [0.3, 0.0, 0.7 - SHORT], [0.25, 0.25, 0.5]],
+    4: [[0.0, 0.0, 1.0, 0.0], [0.1, 0.2, 0.3, 0.4 - SHORT],
+        [0.5, 0.0, 0.0, 0.5], [0.25, 0.25, 0.5, 0.0]],
     5: [[0.0, 0.0, 1.0, 0.0, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2 - SHORT],
         [0.5, 0.0, 0.0, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4, 0.0],
         [0.0, 0.25, 0.25, 0.25, 0.25]],
@@ -305,19 +306,25 @@ class ConstRng:
 
 
 def _scan_sizes():
+    # k chunks of the generator's scan length c, plus r
     for k, r in ((0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (3, 7)):
         label = str(r) if k == 0 else f"{'' if k == 1 else k}c{r:+d}"
         yield pytest.param(k, r, id=f"n={label}")
+    # a chunk just below, at and above a power of two, where the scan tree grows a level
+    for j in (3, 10):
+        for e in (-1, 0, 1):
+            yield pytest.param(0, 2 ** j + e, id=f"n=2^{j}{e:+d}")
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rng_kind", ["generator", "top-heavy"])
 @pytest.mark.parametrize("k,r", _scan_sizes())
-@pytest.mark.parametrize("a", [2, 3, 5])
+@pytest.mark.parametrize("a", [2, 3, 4, 5])
 def test_markov_scan_matches_loop(a, k, r, rng_kind):
     gen = markov(SCAN_CHAINS[a])
     assert np.cumsum(gen.P, axis=1)[1, -1] < TOP
-    n = k * max(1, _SCAN_ENTRIES // a) + r
+    assert (gen.steps.composition is None) == (a == 5)       # codes up to a = 4, rows above
+    n = k * gen.steps.chunk + r
     make = np.random.default_rng if rng_kind == "generator" else TopHeavyRng
     for start in (None, *range(a)):
         rng, ref_rng = make(100 * a + n), make(100 * a + n)
@@ -328,6 +335,53 @@ def test_markov_scan_matches_loop(a, k, r, rng_kind):
         assert rng.random() == ref_rng.random()
         if rng_kind == "top-heavy" and start == 1:
             assert got[0] == a - 1      # TOP from the short row: clamped
+
+
+def _step_map(gen, k):
+    """Map k of the step table as the list T(0), ..., T(a-1)."""
+    a, maps = gen.base, gen.steps.maps
+    if gen.steps.composition is None:
+        return [int(t) for t in maps[k]]
+    return [int(maps[k]) // a ** s % a for s in range(a)]
+
+
+STEP_CHAINS = {
+    **{f"scan{a}": P for a, P in SCAN_CHAINS.items()},
+    # 0.5 and 1.0 are breakpoints of several rows; row 1 sums short of 1
+    "repeats": [[0.5, 0.25, 0.25], [0.25, 0.25, 0.5 - SHORT], [0.5, 0.5, 0.0]],
+}
+
+
+@pytest.mark.parametrize("P", STEP_CHAINS.values(), ids=STEP_CHAINS.keys())
+def test_step_table_equals_the_per_row_rule(P):
+    gen = markov(P)
+    a, steps = gen.base, gen.steps
+    cum = np.cumsum(gen.P, axis=1)
+    last = [int(np.flatnonzero(row)[-1]) for row in gen.P]
+    assert np.array_equal(steps.breaks, np.unique(cum))
+    edges = np.concatenate(([0.0], steps.breaks, [1.0]))
+    rng = np.random.default_rng(a)
+    for k in range(len(steps.breaks) + 1):
+        lo, hi = edges[k], edges[k + 1]
+        if lo >= hi:
+            continue        # [0, B_0) with B_0 = 0, or [B_last, 1) with B_last = 1
+        inside = min(rng.uniform(lo, hi), np.nextafter(hi, 0.0))
+        for u in (lo, inside):
+            assert np.searchsorted(steps.breaks, u, side="right") == k
+            want = [min(int(np.searchsorted(cum[s], u, side="right")), last[s])
+                    for s in range(a)]
+            assert _step_map(gen, k) == want, (k, u)
+    if steps.composition is not None:
+        size = a ** a
+        decode = [[c // a ** s % a for s in range(a)] for c in range(size)]
+        for g, f in rng.integers(0, size, (200, 2)):
+            assert decode[steps.composition[g * size + f]] == [decode[g][t] for t in decode[f]]
+
+
+def test_oversized_step_table_is_resource_error():
+    P = np.random.default_rng(0).random((300, 300)) + 0.5
+    with pytest.raises(ResourceError):
+        markov(P / P.sum(axis=1, keepdims=True))
 
 
 def test_stationary_start_draw_is_clamped():
