@@ -9,8 +9,8 @@ exactly; a character e(m .) evaluated on a read-out is within O(m 2^-53) of
 its exact value.  The module also provides the time-change schedule
 n' = floor(alpha*n), z_n = alpha*n mod 1 for alpha = log b / log a, computed
 with a controlled number of bits so every floor is certified unambiguous.
-mpmath, needed only for that alpha, is imported inside `kronecker_schedule`,
-so commands that build no schedule never load it.
+Floors come from exact 32-bit limbs of n*num (`_floor_multiples`), z_n and
+the guard from the remainder's top 64 bits (rare n exactly); mpmath is lazy.
 
 Interval convention: all intervals are half-open [k/a^n, (k+1)/a^n); a point
 belongs to the atom whose left endpoint it is.
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, PrecisionError
+from .errors import InputError, PrecisionError, ResourceError
 
 
 @lru_cache(maxsize=None)
@@ -239,10 +239,24 @@ class PrecisionBudget:
 # ---------------------------------------------------------------------------
 
 def _floor_multiples(num: int, den: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """floor(num*n/den) and num*n mod den for n = 0..N, as object arrays of
-    exact Python ints (the one floor routine behind every schedule)."""
-    prod = np.arange(N + 1, dtype=object) * num
-    return prod // den, prod % den
+    """floor(num*n/den) (int64) and num*n mod den, n = 0..N: int64 divmod, or for den = 2^s
+    32-bit limbs of n*num*2^pad, floor on a limb edge; rem uint64 (s <= 64) or limbs * 2^pad."""
+    if N >= 1 << 32 or num * N // den >= 1 << 63:
+        raise ResourceError(f"need N < 2^32 (limb products) and floors < 2^63, got N = {N}")
+    if max(num * N, den) < 1 << 63:
+        return np.divmod(np.arange(N + 1, dtype=np.int64) * num, den)
+    if den & (den - 1):
+        raise InputError("den must be a power of two when num*N or den >= 2^63")
+    s = den.bit_length() - 1
+    j = max(2, -(-s // 32))
+    num <<= 32 * j - s
+    parts = np.array([num >> 32 * i & 0xFFFFFFFF for i in range(j + 2)], dtype=np.uint64)
+    limbs = np.multiply.outer(parts, np.arange(N + 1, dtype=np.uint64))
+    for i in range(j + 1):          # limb product + carry < 2^64 for n < 2^32
+        limbs[i + 1] += limbs[i] >> 32
+        limbs[i] &= 0xFFFFFFFF
+    whole = (limbs[j] | limbs[j + 1] << 32).view(np.int64)
+    return whole, limbs[:j] if j > 2 else (limbs[0] | limbs[1] << 32) >> (64 - s)
 
 
 def _primitive_power_base(n: int) -> tuple[int, int]:
@@ -273,11 +287,16 @@ class KroneckerSchedule:
     nprime_table: np.ndarray
     z_table: np.ndarray
 
+    def _check(self, n: int) -> int:
+        if not 0 <= n <= self.N:
+            raise InputError(f"schedule index {n} outside 0..{self.N}")
+        return n
+
     def nprime(self, n: int) -> int:
-        return int(self.nprime_table[n])
+        return int(self.nprime_table[self._check(n)])
 
     def z(self, n: int) -> float:
-        return float(self.z_table[n])
+        return float(self.z_table[self._check(n)])
 
 
 def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> KroneckerSchedule:
@@ -303,23 +322,24 @@ def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> Kroneck
         whole, rem = _floor_multiples(pb, pa, N)      # alpha = pb/pa exactly
         return KroneckerSchedule(a=a, b=b, N=N, float_bits=float_bits,
                                  alpha=pb / pa, dependent=True,
-                                 nprime_table=whole.astype(np.int64),
-                                 z_table=rem.astype(np.float64) / pa)
+                                 nprime_table=whole, z_table=rem.astype(np.float64) / pa)
 
     import mpmath
     with mpmath.workprec(float_bits + 48):
         alpha_mp = mpmath.log(b) / mpmath.log(a)
         scaled = int(mpmath.floor(alpha_mp * mpmath.mpf(2) ** float_bits))
     one = 1 << float_bits
-    guard = 1 << (float_bits - 100)
-    whole, rem = _floor_multiples(scaled, one, N)
-    bad = np.flatnonzero((rem[1:] < guard) | (one - rem[1:] < guard))
-    if len(bad):
-        raise PrecisionError(
-            f"floor of alpha*{int(bad[0]) + 1} ambiguous at {float_bits} bits; "
-            "increase float_bits")
-    inv = 1.0 / one
+    whole, rem = _floor_multiples(scaled, one, N)     # rem's limbs, shifted to fill them
+    top = rem[-1] << 32 | rem[-2]                     # rem's leading 64 bits
+    z = (top | (np.bitwise_or.reduce(rem[:-2], axis=0) != 0)).astype(np.float64) * 2.0 ** -64
+    # top + sticky round like rem at >= 55 significant bits; else, or near an integer, exactly
+    rare = np.flatnonzero((top < 1 << 54) | (top == ~np.uint64(0)))
+    for n, limbs in zip(rare.tolist(), rem[:, rare].T.tolist()):
+        r = sum(v << 32 * i for i, v in enumerate(limbs)) >> (-float_bits % 32)
+        if n and min(r, one - r) < 1 << (float_bits - 100):
+            raise PrecisionError(
+                f"floor of alpha*{n} ambiguous at {float_bits} bits; increase float_bits")
+        z[n] = r / one
     return KroneckerSchedule(a=a, b=b, N=N, float_bits=float_bits,
-                             alpha=scaled * inv, dependent=False,
-                             nprime_table=whole.astype(np.int64),
-                             z_table=rem.astype(np.float64) * inv)
+                             alpha=scaled / one, dependent=False,
+                             nprime_table=whole, z_table=z)

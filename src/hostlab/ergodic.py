@@ -224,7 +224,7 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
         raise InputError("test function base differs from the generator")
 
     num, den = float(beta).as_integer_ratio()     # floor(beta n) exactly
-    offs = _floor_multiples(num, den, N)[0][1:].astype(np.int64)
+    offs = _floor_multiples(num, den, N)[0][1:]
     max_window = max(g.window for g in gs)
     need = int(offs[-1]) + max_window
     ns = np.arange(1, N + 1, dtype=np.float64)

@@ -7,7 +7,10 @@ transform has the closed form
     F(xi) = sinc(xi h) * sum_k w_k e(xi (k + 1/2) h),      h = a^-n,
 
 with sinc(u) = sin(pi u)/(pi u); no sampling is involved.  Scaling satisfies
-F_m(S_t nu) = F(nu, m t), which is how scale averages are evaluated.
+F_m(S_t nu) = F(nu, m t), which is how scale averages are evaluated.  Product
+and chain structures sum place by place: digit d at place j costs one cos and
+sin (`cis`) of (2 pi h a^j)(xi d), not a power of another place's phase (that
+would scale its rounding error by a^j); products skip zero-probability digits.
 
 The scale average is closed form too: with c_D R(D) from `measures._lag_weights`
 (R = w * w, c_0 = 1, c_D = 2 for D > 0; `correlation_integral` sums it too),
@@ -71,30 +74,34 @@ def _phase_powers(q: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def cis(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real angles, from one cos and one sin."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _structured_phase_sum(flat: np.ndarray, h: float, base: int,
                           structure: tuple) -> np.ndarray:
-    """sum_k w_k e(xi h k) via the weight factorization.
-
-    For product weights the sum over digit words splits into one factor per
-    digit place; for a chain it is the transfer-matrix product.  Values agree
-    with the dense atom sum to rounding error.
-    """
+    """sum_k w_k e(xi h k) via the weight factorization: one factor per digit
+    place for a product, the transfer-matrix product for a chain.  Values
+    agree with the dense atom sum to rounding error."""
     kind = structure[0]
-    digits = np.arange(base, dtype=np.float64)
     if kind == "product":
         _, p, n = structure
         total = np.ones(len(flat), dtype=np.complex128)
         for place in range(n):
-            E = np.exp((2j * np.pi * h * base ** place) * np.outer(flat, digits))
-            total *= E @ p
+            c = TAU * h * base ** place
+            total *= p[0] + sum(p[d] * cis(c * (flat * d)) for d in np.flatnonzero(p[1:]) + 1)
         return total
     _, init, P, n = structure
-    u = np.ones((len(flat), base), dtype=np.complex128)
-    for place in range(n - 1):
-        E = np.exp((2j * np.pi * h * base ** place) * np.outer(flat, digits))
-        u = (E * u) @ P.T
-    E = np.exp((2j * np.pi * h * base ** (n - 1)) * np.outer(flat, digits))
-    return (E * u) @ init
+    u = np.ones((base, len(flat)), dtype=np.complex128)
+    for place in range(n):
+        for d in range(1, base):
+            u[d] *= cis(TAU * h * base ** place * (flat * d))   # real P on (re, im) next
+        u = ((P if place < n - 1 else init) @ u.view(np.float64)).view(np.complex128)
+    return u
 
 
 def _ft_structured(base: int, level: int, structure: tuple, xis) -> np.ndarray:
@@ -104,7 +111,7 @@ def _ft_structured(base: int, level: int, structure: tuple, xis) -> np.ndarray:
     flat = np.ravel(xis)
     h = float(base) ** -level
     out = _structured_phase_sum(flat, h, base, structure)
-    out *= np.exp((1j * np.pi * h) * flat) * np.sinc(flat * h)
+    out *= cis((np.pi * h) * flat) * np.sinc(flat * h)
     return out.reshape(xis.shape)
 
 

@@ -25,14 +25,14 @@ from .adic import (
     UnitPoint,
     _big_divmod,
     _int_to_digits,
-    digits_of,
+    _pow,
     kronecker_schedule,
     make_point_from_digits,
     mul_mod1,
     multiplicatively_dependent,
 )
 from .errors import InputError, NullCylinderError, PrecisionError
-from .fourier import TAU, _scale_averages, ft_adic_many
+from .fourier import TAU, _scale_averages, cis, ft_adic_many
 from .measures import (
     MARKOV,
     MeasureGen,
@@ -101,10 +101,7 @@ def _orbit_character_sums(blocks, freqs, checkpoints):
     total = np.zeros(len(taus), dtype=np.complex128)
     ci, done = 0, 0
     for r in blocks:
-        ang = np.multiply.outer(taus, r * 2.0 ** -53)
-        ph = np.empty(ang.shape, dtype=np.complex128)
-        np.cos(ang, out=ph.real)
-        np.sin(ang, out=ph.imag)
+        ph = cis(np.multiply.outer(taus, r * 2.0 ** -53))
         lo = 0
         while ci < len(checkpoints) and checkpoints[ci] <= done + len(r):
             n = checkpoints[ci]
@@ -225,7 +222,8 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     # the budget's 64 guard digits cover the J tail digits past n'(N)
     nprime = sched.nprime_table[1:N + 1]
     J = math.ceil(53 / math.log2(a)) + 1
-    xdig = np.array(digits_of(x, int(nprime[-1]) + J))
+    count = int(nprime[-1]) + J
+    xdig = _int_to_digits(x.numerator // _pow(a, x.precision - count), a, count).astype(np.int64)
     if not _support_chain_ok(gen, past, xdig[:nprime[-1]]):
         raise NullCylinderError("point digits leave the generator's support")
 
@@ -246,7 +244,7 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     for s in np.unique(states):
         idx = np.flatnonzero(states == s)
         vals[idx] = ft_adic_many(cache[int(s)], xis[idx])
-    vals *= np.exp(2j * np.pi * phases)
+    vals *= cis(TAU * phases)
     cond_avg = complex(vals.mean())
 
     return CompareResult(orbit_avg=orbit_avg, cond_avg=cond_avg,

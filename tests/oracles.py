@@ -352,6 +352,36 @@ def kronecker_tables(a: int, b: int, N: int, float_bits: int = 128):
     return nprime, z
 
 
+def floor_multiples(num: int, den: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """floor(num*n/den) and num*n mod den for n = 0..N, as object arrays of
+    exact Python ints (the library's former route)."""
+    prod = np.arange(N + 1, dtype=object) * num
+    return prod // den, prod % den
+
+
+def structured_phase_sum(flat: np.ndarray, h: float, base: int,
+                         structure: tuple) -> np.ndarray:
+    """sum_k w_k e(xi h k) from one complex exp over the (len(xi), base)
+    outer product of frequencies and digits per place (the library's former
+    route)."""
+    kind = structure[0]
+    digits = np.arange(base, dtype=np.float64)
+    if kind == "product":
+        _, p, n = structure
+        total = np.ones(len(flat), dtype=np.complex128)
+        for place in range(n):
+            E = np.exp((2j * np.pi * h * base ** place) * np.outer(flat, digits))
+            total *= E @ p
+        return total
+    _, init, P, n = structure
+    u = np.ones((len(flat), base), dtype=np.complex128)
+    for place in range(n - 1):
+        E = np.exp((2j * np.pi * h * base ** place) * np.outer(flat, digits))
+        u = (E * u) @ P.T
+    E = np.exp((2j * np.pi * h * base ** (n - 1)) * np.outer(flat, digits))
+    return (E * u) @ init
+
+
 def compare_reference(gen, past, x, b: int, k: int, m: int, N: int, level: int):
     """(orbit_avg, cond_avg, cond_abs_avg, gap) of the orbit-versus-conditional
     comparison by per-step routes: the orbit average summed step by step, the

@@ -21,8 +21,9 @@ from hostlab.adic import (
     multiplicatively_dependent,
     to_real,
 )
-from hostlab.errors import InputError, PrecisionError
-from oracles import digits_to_int, exp_weyl_bound_check, kronecker_tables, precision_budget_L
+from hostlab.errors import InputError, PrecisionError, ResourceError
+from oracles import (digits_to_int, exp_weyl_bound_check, floor_multiples, kronecker_tables,
+                     precision_budget_L)
 
 
 def test_make_point_positional_evaluation():
@@ -255,6 +256,14 @@ def test_kronecker_ambiguous_floor_names_first_n(monkeypatch):
             build(3, 2, 10)
 
 
+def test_kronecker_ambiguous_floor_from_below(monkeypatch):
+    # scaled alpha = 2^126 - 1 puts alpha*4 at 4 * 2^-128 below an integer
+    monkeypatch.setattr(mpmath, "floor", lambda v: mpmath.mpf(2 ** 126 - 1))
+    for build in (kronecker_schedule, kronecker_tables):
+        with pytest.raises(PrecisionError, match=r"alpha\*4 ambiguous"):
+            build(3, 2, 10)
+
+
 def test_floor_multiples_exact():
     N = 10_000
     for beta in (math.log(2) / math.log(3), math.log(3) / math.log(2),
@@ -264,6 +273,69 @@ def test_floor_multiples_exact():
         assert np.array_equal(whole.astype(np.int64),
                               [(num * n) // den for n in range(N + 1)])
         assert rem.tolist() == [(num * n) % den for n in range(N + 1)]
+
+
+@pytest.mark.parametrize("bits", [110, 128, 130, 256])
+@pytest.mark.parametrize("a,b,N", [(3, 2, 8000), (5, 7, 3000)])
+def test_kronecker_tables_bytes_at_any_float_bits(a, b, N, bits):
+    sched = kronecker_schedule(a, b, N, float_bits=bits)
+    nprime, z = kronecker_tables(a, b, N, float_bits=bits)
+    # z < 2^-10: the remainder's top 64 bits hold fewer than 55 significant bits
+    assert np.count_nonzero(z[1:] < 2.0 ** -10) >= 2
+    assert sched.nprime_table.tobytes() == nprime.tobytes()
+    assert sched.z_table.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("num,den,N", [
+    (2 ** 40 + 3, 1, 10_000),                     # den = 1: the int64 route
+    (10 ** 12 + 39, 3 ** 20, 10_000),             # den not a power of two
+    (3 ** 40, 2 ** 53, 10_000),                   # num*N >= 2^64: limbs, 1-d remainder
+    (2 ** 64 - 1, 2 ** 64, 1 << 16),              # a full-word remainder
+    (3 ** 90 + 1, 2 ** 130, 5000),                # remainder as limbs, s not a multiple of 32
+    (5, 2 ** 100, 100),                           # num*N far below den
+])
+def test_floor_multiples_matches_object_oracle(num, den, N):
+    whole, rem = _floor_multiples(num, den, N)
+    ref_whole, ref_rem = floor_multiples(num, den, N)
+    assert whole.dtype == np.int64 and whole.tolist() == ref_whole.tolist()
+    if rem.ndim == 2:
+        s = den.bit_length() - 1
+        assert len(rem) == -(-s // 32)
+        rem = [sum(v << 32 * i for i, v in enumerate(col)) >> (-s % 32) for col in rem.T.tolist()]
+    else:
+        rem = rem.tolist()
+    assert rem == ref_rem.tolist()
+
+
+def test_floor_multiples_refuses_what_it_cannot_do_exactly():
+    with pytest.raises(InputError, match="power of two"):
+        _floor_multiples(3 ** 40, 3 ** 20, 10)
+    with pytest.raises(ResourceError, match="floors < 2\\^63"):
+        _floor_multiples(2 ** 62, 1, 2)
+
+
+def test_limb_range_refused_before_any_allocation():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        for build in (lambda: _floor_multiples(3 ** 33, 2 ** 53, 2 ** 32),
+                      lambda: kronecker_schedule(3, 2, 2 ** 32)):
+            with pytest.raises(ResourceError, match="2\\^32"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_schedule_index_checked():
+    sched = kronecker_schedule(3, 2, 10)
+    assert sched.nprime(10) == 6 and sched.nprime(0) == 0
+    for n in (-1, 11):
+        with pytest.raises(InputError, match="outside 0..10"):
+            sched.nprime(n)
+        with pytest.raises(InputError, match="outside 0..10"):
+            sched.z(n)
 
 
 def test_kronecker_alpha_gt_one_carries():

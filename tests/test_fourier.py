@@ -10,6 +10,7 @@ from hostlab.fourier import (
     SmoothingParams,
     _ft_structured,
     _lag_integrals,
+    _structured_phase_sum,
     c1_bound_check,
     c1_certificate,
     c1_default_battery,
@@ -37,7 +38,7 @@ from hostlab.measures import (
     word,
 )
 from oracles import (cantor_transform, lag_integrals, mc_scaled_sq, panel_scaled_sq,
-                     wrapped_transform)
+                     structured_phase_sum, wrapped_transform)
 
 TAU = 2.0 * math.pi
 
@@ -97,6 +98,32 @@ def test_structured_path_matches_dense_atom_sum():
         assert plain.structure is None
         diff = np.abs(ft_adic_many(mu, xis) - ft_adic_many(plain, xis))
         assert np.max(diff) < 1e-11
+
+
+def _structures(base: int, level: int):
+    """A product and a chain structure in `base`, each with a zero-probability digit."""
+    rng = np.random.default_rng(base)
+    p = rng.uniform(0.1, 1.0, base)
+    p[base // 2] = 0.0
+    P = rng.uniform(0.1, 1.0, (base, base))
+    P[0, -1] = P[-1, 0] = 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    init = rng.uniform(0.1, 1.0, base)
+    return (("product", p / p.sum(), level), ("chain", init / init.sum(), P, level))
+
+
+@pytest.mark.parametrize("level", [1, 2, 20])
+@pytest.mark.parametrize("base", [2, 3, 4, 5])
+def test_structured_sum_matches_per_digit_exp_oracle(base, level):
+    rng = np.random.default_rng(100 * base + level)
+    top = float(base) ** level
+    flat = np.concatenate(([0.0, -1.0, 1.0, top, -top, -0.5 * top],
+                           rng.uniform(-top, top, 40), rng.uniform(-50.0, 50.0, 40)))
+    h = float(base) ** -level
+    for structure in _structures(base, level):
+        got = _structured_phase_sum(flat, h, base, structure)
+        ref = structured_phase_sum(flat, h, base, structure)
+        assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_structured_transform_needs_no_weights():
