@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,12 +77,79 @@ def _int_list(spec) -> list[int]:
     return [_int(v) for v in str(spec).split(",") if v.strip()]
 
 
-class Options:
-    """Flag values over config-file values over built-in defaults."""
+class Opt(NamedTuple):
+    """An option's reader (`bool` for a switch), default, and argparse choices and help."""
+    reader: Callable
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
+
+COMMON = {
+    "config": Opt(str, help="flat key/value JSON file"),
+    "out": Opt(str, "hostlab-out", help="output directory (default hostlab-out)"),
+    "seed": Opt(_int, help="master seed (required)"),
+    "strict": Opt(bool, False, help="soft-threshold misses exit 1"),
+}
+
+# Each subcommand's options, the one place each is declared.  The flag is
+# --<key> with '_' as '-'; `_int` and `float` readers are argparse types too,
+# so a flag's value keeps its type in the summary's config echo.
+OPTIONS = {
+    "weyl": {
+        "gen": Opt(parse_generator),
+        "b": Opt(_int),
+        "m": Opt(_int_list, "1,2,3", help="comma-separated nonzero frequencies"),
+        "checkpoints": Opt(_int_list, "1000,10000,100000"),
+        "samples": Opt(_int, 50),
+        "k": Opt(_int, 0),
+        "soft_median_threshold": Opt(float, 0.05),
+        "label": Opt(str, ""),
+        "dat": Opt(bool, False),
+    },
+    "fourier-cert": {"battery": Opt(str, "default", ("default", "quick"))},
+    "proof-chain": {
+        "gen": Opt(parse_generator),
+        "b": Opt(_int),
+        "m": Opt(_int, 1),
+        "ks": Opt(_int_list, "0,2,4,6"),
+        "samples": Opt(_int, 8),
+        "level": Opt(_int),
+    },
+    "martingale": {
+        "gen": Opt(parse_generator),
+        "N": Opt(_int, 10_000),
+        "trials": Opt(_int, 100),
+        "window": Opt(_int, 1),
+        "window_func": Opt(str, "sign0", ("parity", "sign0")),
+        "with_ratio": Opt(bool, False),
+    },
+    "time-change": {
+        "gen": Opt(parse_generator),
+        "theta": Opt(parse_real, help="float or log:B,A"),
+        "beta": Opt(parse_real, "theta", help="float, log:B,A, or 'theta'"),
+        "js": Opt(_int_list, "0,1,2,3"),
+        "gfuncs": Opt(str, "ind0,e1w12", help="e.g. ind0,e1w12"),
+        "N": Opt(_int, 10_000),
+        "M": Opt(_int, 100),
+    },
+    "equivariance": {"pairs": Opt(_int, 100), "gens": Opt(str, "bernoulli,markov,cantor")},
+    "controls": {
+        "mode": Opt(str, "both", ("dependent", "rational", "both")),
+        "a": Opt(_int, 2),
+        "b": Opt(_int, 2),
+        "samples": Opt(_int, 1),
+        "N_rational": Opt(_int, 30_000),
+    },
+}
+
+
+class Options:
+    """Flag values over config-file values over the table's defaults."""
+
+    def __init__(self, args: argparse.Namespace, table: dict[str, Opt]):
         self._args = vars(args)
-        self._defaults = dict(defaults)
+        self._table = table
         self._file = {}
         cfg_path = self._args.get("config")
         if cfg_path:
@@ -93,50 +161,44 @@ class Options:
             if not isinstance(self._file, dict):
                 raise InputError("config file must hold a flat JSON object")
 
-    def get(self, key: str, kind=None):
-        """The value, read by `kind` (int, float, parse_real, ...) unless it
-        is None; a value that `kind` cannot read is a config error."""
+    def raw(self, key: str):
+        """The value as given, unread: what the summary echoes."""
         value = self._args.get(key)
+        return self._file.get(key, self._table[key].default) if value is None else value
+
+    def get(self, key: str, reader=None):
+        """The value, read by the table's reader, or by `reader` where the
+        reading depends on another option; a value the reader cannot read is
+        a config error."""
+        value = self.raw(key)
         if value is None:
-            value = self._file.get(key, self._defaults.get(key))
-        if kind is None or value is None:
-            return value
+            return None
         try:
-            return kind(value)
+            return (reader or self._table[key].reader)(value)
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise InputError(f"bad value {value!r} for --{key.replace('_', '-')}: {exc}") from exc
 
-    def require(self, key: str, kind=None):
-        if self.get(key) is None:
+    def require(self, key: str):
+        if self.raw(key) is None:
             raise InputError(f"missing required option --{key.replace('_', '-')}")
-        return self.get(key, kind)
-
-    def echo(self, keys) -> dict:
-        return {k: self.get(k) for k in keys}
-
-
-def _summary(out_dir: Path, name: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["generated_by"] = reports.version_string()
-    reports.write_json(out_dir / f"{name}.json", payload)
+        return self.get(key)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    gen = parse_generator(opts.require("gen"))
+def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
     cfg = pipeline.HostExperimentConfig(
-        gen=gen,
-        b=opts.require("b", _int),
-        seed=opts.require("seed", _int),
-        samples=opts.get("samples", _int),
-        checkpoints=tuple(opts.get("checkpoints", _int_list)),
-        freqs=tuple(opts.get("m", _int_list)),
-        k=opts.get("k", _int),
-        soft_final_threshold=opts.get("soft_median_threshold", float),
-        label=str(opts.get("label") or ""),
+        gen=opts.require("gen"),
+        b=opts.require("b"),
+        seed=opts.get("seed"),
+        samples=opts.get("samples"),
+        checkpoints=tuple(opts.get("checkpoints")),
+        freqs=tuple(opts.get("m")),
+        k=opts.get("k"),
+        soft_final_threshold=opts.get("soft_median_threshold"),
+        label=opts.get("label") or "",
     )
     rep = pipeline.host_experiment(cfg)
     reports.write_csv(out_dir / "weyl.csv",
@@ -161,10 +223,7 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
             warnings.append(
                 f"final median |W({m})| above soft threshold "
                 f"{cfg.soft_final_threshold}")
-    _summary(out_dir, "weyl_summary", {
-        "subcommand": "weyl",
-        "config": opts.echo(["gen", "b", "seed", "samples", "checkpoints",
-                             "m", "k", "soft_median_threshold", "label"]),
+    return 0, {
         "negative_control": rep.negative_control,
         "medians": {f"m={m},N={N}": v for (m, N), v in rep.medians.items()},
         "p90": {f"m={m},N={N}": v for (m, N), v in rep.percentile90.items()},
@@ -174,14 +233,11 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> int:
         "diagnostics": {"precision_budget": {
             **dataclasses.asdict(rep.budget),
             "digits_consumed": rep.budget.L - rep.budget.guard_digits}},
-        "warnings": warnings,
-    })
-    return 0
+    }
 
 
-def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    battery = str(opts.get("battery"))
-    seed = opts.require("seed", _int)
+def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
+    battery = opts.get("battery")
     slack = 1e-4
     if battery == "quick":
         densities = fourier.c1_default_battery()[:3]
@@ -192,7 +248,7 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     elif battery == "default":
         densities = fourier.c1_default_battery()
         ts = [t for base in (1, 2, 5, 10, 100) for t in (base, -base)]
-        meas = fourier.default_measure_battery(seed)
+        meas = fourier.default_measure_battery(opts.get("seed"))
         ms = [m for mm in range(1, 9) for m in (mm, -mm)]
         bs = [2.0, 10.0]
         rs = [3.0 ** -j for j in range(1, 7)]
@@ -213,18 +269,14 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> int:
                         r["rhs"], r["margin"], r["ok"]) for r in rows])
 
     bad = [r for r in c1_rows if not r["ok"]] + [r for r in rows if not r["ok"]]
-    _summary(out_dir, "fourier_cert_summary", {
-        "subcommand": "fourier-cert",
-        "config": opts.echo(["battery", "seed"]),
+    return 1 if bad else 0, {
         "c1_rows": len(c1_rows),
         "smoothing_rows": len(rows),
         "failures": len(bad),
         "all_ok": not bad,
         "diagnostics": {"worst_margin": {"c1": _worst_margin(c1_rows, ("density", "t")),
                                          "smoothing": _worst_margin(rows, ("measure", "m", "b", "r"))}},
-        "warnings": warnings,
-    })
-    return 1 if bad else 0
+    }
 
 
 def _worst_margin(rows, names) -> dict:
@@ -233,17 +285,11 @@ def _worst_margin(rows, names) -> dict:
     return {"margin": row["margin"], **{k: row[k] for k in names}}
 
 
-def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    gen = parse_generator(opts.require("gen"))
-    b = opts.require("b", _int)
-    m = opts.get("m", _int)
-    ks = opts.get("ks", _int_list)
-    samples = opts.get("samples", _int)
-    level = opts.get("level", _int)
-    seed = opts.require("seed", _int)
-
-    ests = [pipeline.proof_chain_quantity(gen, b=b, k=k, m=m, samples=samples,
-                                          level=level, seed=seed) for k in ks]
+def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
+    gen, b = opts.require("gen"), opts.require("b")
+    ests = [pipeline.proof_chain_quantity(gen, b=b, k=k, m=opts.get("m"),
+                                          samples=opts.get("samples"), level=opts.get("level"),
+                                          seed=opts.get("seed")) for k in opts.get("ks")]
     rows = [(e.k, e.m, e.samples, e.level, e.value, e.std_error,
              e.scale_term, e.corr_term, e.rhs, e.value <= e.rhs + 1e-4)
             for e in ests]
@@ -256,16 +302,12 @@ def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> int:
         if cur.value > prev.value + 2.0 * (prev.std_error + cur.std_error):
             warnings.append(
                 f"value at k={cur.k} not below k={prev.k} within 2 std errors")
-    _summary(out_dir, "proof_chain_summary", {
-        "subcommand": "proof-chain",
-        "config": opts.echo(["gen", "b", "m", "ks", "samples", "level", "seed"]),
+    return 1 if hard_bad else 0, {
         "values": [e.value for e in ests],
         "std_errors": [e.std_error for e in ests],
         "rhs": [e.rhs for e in ests],
         "all_bounded": not hard_bad,
-        "warnings": warnings,
-    })
-    return 1 if hard_bad else 0
+    }
 
 
 def _window_function(gen: measures.MeasureGen, name: str, window: int):
@@ -276,46 +318,36 @@ def _window_function(gen: measures.MeasureGen, name: str, window: int):
     raise InputError(f"unknown window function {name!r}")
 
 
-def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    gen = parse_generator(opts.require("gen"))
-    seed = opts.require("seed", _int)
-    N = opts.get("N", _int)
-    trials = opts.get("trials", _int)
-    window = opts.get("window", _int)
-    f = _window_function(gen, str(opts.get("window_func")), window)
-    proc = ergodic.SymbolicProcess(gen=gen, seed=seed)
+def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
+    gen = opts.require("gen")
+    N = opts.get("N")
+    f = _window_function(gen, opts.get("window_func"), opts.get("window"))
+    proc = ergodic.SymbolicProcess(gen=gen, seed=opts.get("seed"))
 
-    vals = ergodic.martingale_avg_experiment(proc, f, N=N, trials=trials)
-    reports.write_csv(out_dir / "martingale.csv",
-                      ["trial", "N", "value"],
-                      [(t, N, float(v)) for t, v in enumerate(vals)])
-    rms = float(np.sqrt(np.mean(vals ** 2)))
+    def trial_rms(n: int, name: str) -> float:
+        vals = ergodic.martingale_avg_experiment(proc, f, N=n, trials=opts.get("trials"))
+        reports.write_csv(out_dir / name, ["trial", "N", "value"],
+                          [(t, n, float(v)) for t, v in enumerate(vals)])
+        return float(np.sqrt(np.mean(vals ** 2)))
+
+    rms = trial_rms(N, "martingale.csv")
     bound = 3.0 * f.sup / math.sqrt(N)
     if rms > bound:
         warnings.append(f"trial RMS {rms:g} above soft bound {bound:g}")
 
     ratio = None
     if opts.get("with_ratio"):
-        vals4 = ergodic.martingale_avg_experiment(proc, f, N=4 * N, trials=trials)
-        reports.write_csv(out_dir / "martingale_4N.csv",
-                          ["trial", "N", "value"],
-                          [(t, 4 * N, float(v)) for t, v in enumerate(vals4)])
-        rms4 = float(np.sqrt(np.mean(vals4 ** 2)))
+        rms4 = trial_rms(4 * N, "martingale_4N.csv")
         ratio = rms4 / rms if rms > 0 else float("nan")
         if not (0.3 <= ratio <= 0.75):
             warnings.append(f"RMS(4N)/RMS(N) = {ratio:g} outside [0.3, 0.75]")
 
-    _summary(out_dir, "martingale_summary", {
-        "subcommand": "martingale",
-        "config": opts.echo(["gen", "seed", "N", "trials", "window",
-                             "window_func", "with_ratio"]),
+    return 0, {
         "rms": rms,
         "rms_bound": bound,
         "rms_ratio_4N": ratio,
         "sup_f": f.sup,
-        "warnings": warnings,
-    })
-    return 0
+    }
 
 
 def _digit_functions(gen: measures.MeasureGen, spec: str):
@@ -332,18 +364,15 @@ def _digit_functions(gen: measures.MeasureGen, spec: str):
     return out
 
 
-def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    gen = parse_generator(opts.require("gen"))
-    seed = opts.require("seed", _int)
-    theta = opts.require("theta", parse_real)
-    beta = theta if opts.get("beta") in (None, "theta") else opts.get("beta", parse_real)
-    js = opts.get("js", _int_list)
+def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
+    gen = opts.require("gen")
+    theta = opts.require("theta")
+    beta = theta if opts.raw("beta") in (None, "theta") else opts.get("beta")
     gs = opts.get("gfuncs", lambda spec: _digit_functions(gen, spec))
-    N = opts.get("N", _int)
-    M = opts.get("M", _int)
 
     res = ergodic.time_change_joint_experiment(
-        theta, beta, gen, js=js, gs=gs, N=N, M=M, seed=seed)
+        theta, beta, gen, js=opts.get("js"), gs=gs, N=opts.get("N"), M=opts.get("M"),
+        seed=opts.get("seed"))
     rows = []
     for ji, j in enumerate(res.js):
         for gi, label in enumerate(res.g_labels):
@@ -353,28 +382,18 @@ def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> int:
                          float(res.z_scores[ji, gi])))
     reports.write_csv(out_dir / "time_change.csv",
                       ["j", "g", "re", "im", "z_score"], rows)
-    dev = res.deviations()
+    worst = float(res.deviations().max())
     if not res.all_within_tolerance():
-        worst = float(dev.max())
-        warnings.append(
-            f"max deviation {worst:g} above tolerance {res.tolerance:g}")
-    _summary(out_dir, "time_change_summary", {
-        "subcommand": "time-change",
-        "config": opts.echo(["gen", "seed", "theta", "beta", "js", "gfuncs",
-                             "N", "M"]),
+        warnings.append(f"max deviation {worst:g} above tolerance {res.tolerance:g}")
+    return 0, {
         "tolerance": res.tolerance,
         "eps_N": res.eps_N,
-        "max_deviation": float(dev.max()),
+        "max_deviation": worst,
         "all_within_tolerance": res.all_within_tolerance(),
-        "warnings": warnings,
-    })
-    return 0
+    }
 
 
-def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    seed = opts.require("seed", _int)
-    pairs = opts.get("pairs", _int)
-    gen_specs = str(opts.get("gens")).split(",")
+def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
     named = {
         "bernoulli": measures.bernoulli(2, [0.3, 0.7]),
         "markov": measures.markov([[0.9, 0.1], [0.5, 0.5]]),
@@ -382,10 +401,10 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     }
     rows = []
     all_ok = True
-    for gi, name in enumerate(gen_specs):
+    for gi, name in enumerate(opts.get("gens").split(",")):
         gen = named.get(name.strip()) or parse_generator(name.strip())
-        rng = reports.derive_rng(seed, gi)
-        for trial in range(pairs):
+        rng = reports.derive_rng(opts.get("seed"), gi)
+        for trial in range(opts.get("pairs")):
             past = measures.sample_past(gen, int(rng.integers(1, 7)), rng)
             wlen = int(rng.integers(1, 4))
             start = past.symbols[0] if gen.kind == measures.MARKOV else None
@@ -399,27 +418,18 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> int:
     reports.write_csv(out_dir / "equivariance.csv",
                       ["gen", "trial", "past_len", "word_len", "max_abs_diff",
                        "ok"], rows)
-    _summary(out_dir, "equivariance_summary", {
-        "subcommand": "equivariance",
-        "config": opts.echo(["gens", "pairs", "seed"]),
-        "rows": len(rows),
-        "all_ok": all_ok,
-        "warnings": warnings,
-    })
-    return 0 if all_ok else 1
+    return 0 if all_ok else 1, {"rows": len(rows), "all_ok": all_ok}
 
 
-def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
-    mode = str(opts.get("mode"))
-    seed = opts.require("seed", _int)
+def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
+    mode = opts.get("mode")
     rows = []
 
     if mode in ("dependent", "both"):
-        a = opts.get("a", _int)
-        b = opts.get("b", _int)
+        a = opts.get("a")
         gen = measures.bernoulli(a, [0.25, 0.75]) if a == 2 else measures.uniform(a)
         cfg = pipeline.HostExperimentConfig(
-            gen=gen, b=b, seed=seed, samples=opts.get("samples", _int),
+            gen=gen, b=opts.get("b"), seed=opts.get("seed"), samples=opts.get("samples"),
             checkpoints=(10_000, 100_000), freqs=(1,),
             label="negative-control-dependent")
         rep = pipeline.host_experiment(cfg)
@@ -438,7 +448,7 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
                          float(err), ok))
 
     if mode in ("rational", "both"):
-        N = opts.get("N_rational", _int)
+        N = opts.get("N_rational")
         reps = N // 3 + 64
         x = adic.make_point_from_digits(2, [0, 0, 1] * reps)
         acc = pipeline.weyl_sum(x, 2, freqs=(1,), checkpoints=(N,))
@@ -454,125 +464,48 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> int:
         raise InputError(f"unknown controls mode {mode!r}")
     reports.write_csv(out_dir / "controls.csv",
                       ["mode", "sample", "N", "re", "im", "err", "ok"], rows)
-    _summary(out_dir, "controls_summary", {
-        "subcommand": "controls",
-        "config": opts.echo(["mode", "a", "b", "samples", "N_rational", "seed"]),
-        "label": "negative-control",
-        "rows": len(rows),
-        "all_ok": all(r[-1] for r in rows),
-        "warnings": warnings,
-    })
-    return 0
+    return 0, {"label": "negative-control", "rows": len(rows),
+               "all_ok": all(r[-1] for r in rows)}
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-DEFAULTS = {
-    "weyl": {"samples": 50, "checkpoints": "1000,10000,100000", "m": "1,2,3",
-             "k": 0, "soft_median_threshold": 0.05, "label": "", "dat": False},
-    "fourier-cert": {"battery": "default"},
-    "proof-chain": {"m": 1, "ks": "0,2,4,6", "samples": 8, "level": None},
-    "martingale": {"N": 10_000, "trials": 100, "window": 1,
-                   "window_func": "sign0", "with_ratio": False},
-    "time-change": {"beta": "theta", "js": "0,1,2,3", "gfuncs": "ind0,e1w12",
-                    "N": 10_000, "M": 100},
-    "equivariance": {"pairs": 100, "gens": "bernoulli,markov,cantor"},
-    "controls": {"mode": "both", "a": 2, "b": 2, "samples": 1,
-                 "N_rational": 30_000},
+# A runner writes its outputs and returns its exit code and its own summary fields.
+RUNNERS = {
+    "weyl": (run_weyl, "checkpointed Weyl sums along xb orbits"),
+    "fourier-cert": (run_fourier_cert, "certify both smoothing bounds"),
+    "proof-chain": (run_proof_chain, "k-decay of the scale integral"),
+    "martingale": (run_martingale, "Cesaro averages of window differences"),
+    "time-change": (run_time_change, "joint rotation/orbit averages"),
+    "equivariance": (run_equivariance, "conditioning/shift consistency battery"),
+    "controls": (run_controls, "negative controls (dependent pair, rational point)"),
 }
 
-RUNNERS = {
-    "weyl": run_weyl,
-    "fourier-cert": run_fourier_cert,
-    "proof-chain": run_proof_chain,
-    "martingale": run_martingale,
-    "time-change": run_time_change,
-    "equivariance": run_equivariance,
-    "controls": run_controls,
-}
+ARGPARSE_TYPES = {_int: int, float: float}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hostlab",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key/value JSON file")
-        p.add_argument("--out", help="output directory (default hostlab-out)")
-        p.add_argument("--seed", type=int, help="master seed (required)")
-        p.add_argument("--strict", action="store_const", const=True, default=None,
-                       help="soft-threshold misses exit 1")
-
-    p = sub.add_parser("weyl", help="checkpointed Weyl sums along xb orbits")
-    common(p)
-    p.add_argument("--gen")
-    p.add_argument("--b", type=int)
-    p.add_argument("--m", help="comma-separated nonzero frequencies")
-    p.add_argument("--N", dest="checkpoints_max", type=int,
-                   help="shorthand: checkpoints 1e3..N")
-    p.add_argument("--checkpoints")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--soft-median-threshold", dest="soft_median_threshold",
-                   type=float)
-    p.add_argument("--label")
-    p.add_argument("--dat", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("fourier-cert", help="certify both smoothing bounds")
-    common(p)
-    p.add_argument("--battery", choices=["default", "quick"])
-
-    p = sub.add_parser("proof-chain", help="k-decay of the scale integral")
-    common(p)
-    p.add_argument("--gen")
-    p.add_argument("--b", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--ks")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--level", type=int)
-
-    p = sub.add_parser("martingale", help="Cesaro averages of window differences")
-    common(p)
-    p.add_argument("--gen")
-    p.add_argument("--N", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--window-func", dest="window_func", choices=["parity", "sign0"])
-    p.add_argument("--with-ratio", dest="with_ratio", action="store_const",
-                   const=True, default=None)
-
-    p = sub.add_parser("time-change", help="joint rotation/orbit averages")
-    common(p)
-    p.add_argument("--gen")
-    p.add_argument("--theta", help="float or log:B,A")
-    p.add_argument("--beta", help="float, log:B,A, or 'theta'")
-    p.add_argument("--js")
-    p.add_argument("--gfuncs", help="e.g. ind0,e1w12")
-    p.add_argument("--N", type=int)
-    p.add_argument("--M", type=int)
-
-    p = sub.add_parser("equivariance", help="conditioning/shift consistency battery")
-    common(p)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--gens")
-
-    p = sub.add_parser("controls", help="negative controls (dependent pair, rational point)")
-    common(p)
-    p.add_argument("--mode", choices=["dependent", "rational", "both"])
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--N-rational", dest="N_rational", type=int)
-
+    for name, (_, help_) in RUNNERS.items():
+        p = sub.add_parser(name, help=help_)
+        for key, opt in {**COMMON, **OPTIONS[name]}.items():
+            if opt.reader is bool:
+                kind = {"action": "store_const", "const": True}
+            else:
+                kind = {"type": ARGPARSE_TYPES.get(opt.reader), "choices": opt.choices}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=opt.help, **kind)
+        if name == "weyl":
+            p.add_argument("--N", dest="checkpoints_max", type=int,
+                           help="shorthand: checkpoints 1e3..N")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     sub = args.subcommand
     try:
         if getattr(args, "checkpoints_max", None) is not None:
@@ -582,13 +515,20 @@ def main(argv=None) -> int:
             n_max = args.checkpoints_max
             cps = [n for n in (1000, 10_000, 100_000) if n < n_max] + [n_max]
             args.checkpoints = ",".join(map(str, cps))
-        opts = Options(args, DEFAULTS[sub])
+        opts = Options(args, {**COMMON, **OPTIONS[sub]})
         opts.require("seed")
         reports.thread_count()      # a bad HOSTLAB_THREADS is exit 2 on any subcommand
-        out_dir = Path(opts.get("out") or "hostlab-out")
+        out_dir = Path(opts.get("out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         warnings: list[str] = []
-        code = RUNNERS[sub](opts, out_dir, warnings)
+        code, fields = RUNNERS[sub][0](opts, out_dir, warnings)
+        reports.write_json(out_dir / f"{sub.replace('-', '_')}_summary.json", {
+            "subcommand": sub,
+            "config": {k: opts.raw(k) for k in (*OPTIONS[sub], "seed")},
+            **fields,
+            "warnings": warnings,
+            "generated_by": reports.version_string(),
+        })
         for w in warnings:
             print(f"WARNING: {w}", file=sys.stderr)
         if warnings and opts.get("strict"):

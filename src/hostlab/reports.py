@@ -8,6 +8,7 @@ wall-clock or host-specific is embedded except the version string.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -49,6 +50,14 @@ def write_json(path, obj) -> None:
 
 
 def version_string() -> str:
+    return _version()
+
+
+@functools.cache
+def _version() -> str:
+    """The package version and `git describe` of its checkout, asked of git
+    once per process.  `version_string` stays a plain function so that the
+    bench's tracer, which wraps only plain functions, still times it."""
     # imported here: this module loads while the package __init__ still runs
     from . import __version__
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -416,3 +418,120 @@ def test_scale_average_bytes_do_not_follow_blas_threads(tmp_path):
             assert out.returncode == 0, out.stderr
     for name in ("fourier_cert.csv", "proof_chain.csv"):
         assert read_bytes(tmp_path / "1" / name) == read_bytes(tmp_path / "2" / name), name
+
+
+def test_version_string_asks_git_once_per_process(tmp_path, monkeypatch):
+    runs = []
+    real_run = subprocess.run
+
+    def spy(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    reports._version.cache_clear()
+    for name in ("a", "b"):
+        assert cli.main(["equivariance", "--pairs", "2", "--seed", "1",
+                         "--out", str(tmp_path / name)]) == 0
+    assert len(runs) == 1
+    assert (read_bytes(tmp_path / "a" / "equivariance_summary.json")
+            == read_bytes(tmp_path / "b" / "equivariance_summary.json"))
+
+
+COMMON_FLAGS = {"--config": ("config", "str", None), "--out": ("out", "str", None),
+                "--seed": ("seed", "int", None), "--strict": ("strict", "switch", None)}
+
+# flag -> (dest, argparse type or "switch", choices); the bench's argv and README use these
+FLAGS = {
+    "weyl": {"--gen": ("gen", "str", None), "--b": ("b", "int", None),
+             "--m": ("m", "str", None), "--N": ("checkpoints_max", "int", None),
+             "--checkpoints": ("checkpoints", "str", None),
+             "--samples": ("samples", "int", None), "--k": ("k", "int", None),
+             "--soft-median-threshold": ("soft_median_threshold", "float", None),
+             "--label": ("label", "str", None), "--dat": ("dat", "switch", None)},
+    "fourier-cert": {"--battery": ("battery", "str", ("default", "quick"))},
+    "proof-chain": {"--gen": ("gen", "str", None), "--b": ("b", "int", None),
+                    "--m": ("m", "int", None), "--ks": ("ks", "str", None),
+                    "--samples": ("samples", "int", None), "--level": ("level", "int", None)},
+    "martingale": {"--gen": ("gen", "str", None), "--N": ("N", "int", None),
+                   "--trials": ("trials", "int", None), "--window": ("window", "int", None),
+                   "--window-func": ("window_func", "str", ("parity", "sign0")),
+                   "--with-ratio": ("with_ratio", "switch", None)},
+    "time-change": {"--gen": ("gen", "str", None), "--theta": ("theta", "str", None),
+                    "--beta": ("beta", "str", None), "--js": ("js", "str", None),
+                    "--gfuncs": ("gfuncs", "str", None), "--N": ("N", "int", None),
+                    "--M": ("M", "int", None)},
+    "equivariance": {"--pairs": ("pairs", "int", None), "--gens": ("gens", "str", None)},
+    "controls": {"--mode": ("mode", "str", ("dependent", "rational", "both")),
+                 "--a": ("a", "int", None), "--b": ("b", "int", None),
+                 "--samples": ("samples", "int", None),
+                 "--N-rational": ("N_rational", "int", None)},
+}
+
+
+def _flag_kind(action):
+    if action.nargs == 0:
+        return "switch" if action.const is True and action.default is None else "other"
+    return action.type.__name__ if action.type else "str"
+
+
+def test_flag_sets_are_pinned():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(FLAGS)
+    for name, sub in subparsers.choices.items():
+        got = {a.option_strings[0]: (a.dest, _flag_kind(a), tuple(a.choices) if a.choices else None)
+               for a in sub._actions if a.dest != "help"}
+        assert all(len(a.option_strings) == 1 for a in sub._actions if a.dest != "help")
+        assert got == {**COMMON_FLAGS, **FLAGS[name]}, name
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_cli_commands()
+    assert {argv[1] for argv in commands} == set(cli.RUNNERS)
+    for argv in commands:
+        assert argv[0] == "hostlab"
+        args = cli.build_parser().parse_args(argv[1:])
+        assert args.seed is not None and args.out is not None, argv
+
+
+MARKOV = "markov:0.9,0.1;0.5,0.5"
+
+# every option of each subcommand, plus the seed, with the type a flag gives it
+CONFIG_ROUTE = {
+    "weyl": {"gen": "cantor3", "b": 2, "m": "1,2", "checkpoints": "150,600", "samples": 2,
+             "k": 1, "soft_median_threshold": 0.5, "label": "run", "dat": True},
+    "fourier-cert": {"battery": "quick"},
+    "proof-chain": {"gen": "cantor3", "b": 2, "m": 2, "ks": "0,2", "samples": 2, "level": 8},
+    "martingale": {"gen": MARKOV, "N": 500, "trials": 4, "window": 2,
+                   "window_func": "parity", "with_ratio": True},
+    "time-change": {"gen": MARKOV, "theta": "log:2,3", "beta": "0.5", "js": "0,1",
+                    "gfuncs": "ind0,e1w12", "N": 500, "M": 4},
+    "equivariance": {"pairs": 3, "gens": "bernoulli,cantor"},
+    "controls": {"mode": "both", "a": 3, "b": 2, "samples": 1, "N_rational": 3000},
+}
+
+
+@pytest.mark.parametrize("sub", list(CONFIG_ROUTE))
+def test_config_file_matches_flags(sub, tmp_path):
+    values = {**CONFIG_ROUTE[sub], "seed": 5}
+    assert set(values) == {*cli.OPTIONS[sub], "seed"}
+    flags = [sub]
+    for key, value in values.items():
+        flags += [f"--{key.replace('_', '-')}"] + ([] if value is True else [str(value)])
+    (tmp_path / "run.json").write_text(json.dumps(values))
+    assert cli.main([*flags, "--out", str(tmp_path / "flags")]) == 0
+    assert cli.main([sub, "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "file")]) == 0
+    names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+    for name in names:
+        assert read_bytes(tmp_path / "flags" / name) == read_bytes(tmp_path / "file" / name), name
+    summary = json.loads((tmp_path / "file" / f"{sub.replace('-', '_')}_summary.json").read_text())
+    assert summary["config"] == values
