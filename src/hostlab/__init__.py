@@ -23,7 +23,6 @@ from .fourier import (
     SmoothingParams,
     c1_bound_check,
     ft_adic,
-    ft_scaled,
     scaled_sq_integral,
     smoothing_rhs,
 )
@@ -44,7 +43,6 @@ from .measures import (
     realize,
     shift_push,
     uniform,
-    verify_equivariance,
 )
 from .pipeline import (
     HostExperimentConfig,

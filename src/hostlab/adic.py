@@ -200,12 +200,15 @@ def to_real(x: UnitPoint, bits: int = 53) -> float:
 # Precision budget
 # ---------------------------------------------------------------------------
 
+GUARD_DIGITS = 64
+
+
 @dataclass(frozen=True)
 class PrecisionBudget:
-    """Retained precision L so that N_max steps of xb keep >= guard_digits digits.
+    """Retained precision L so that N_max steps of xb keep >= GUARD_DIGITS digits.
 
     Each xb step consumes log_a(b) base-a digits of information, so
-    L = ceil(N_max * log_a b) + guard_digits.  The ceiling is certified with
+    L = ceil(N_max * log_a b) + GUARD_DIGITS.  The ceiling is certified with
     exact integer comparisons (a**(L-guard) >= b**N_max > a**(L-guard-1)).
     """
 
@@ -217,13 +220,11 @@ class PrecisionBudget:
 
     @classmethod
     @lru_cache(maxsize=None)
-    def plan(cls, a: int, b: int, N_max: int, guard_digits: int = 64) -> "PrecisionBudget":
+    def plan(cls, a: int, b: int, N_max: int) -> "PrecisionBudget":
         if a < 2 or b < 2:
             raise InputError("a and b must be >= 2")
         if N_max < 1:
             raise InputError("N_max must be >= 1")
-        if guard_digits < 0:
-            raise InputError("guard_digits must be >= 0")
         est = math.ceil(N_max * math.log(b) / math.log(a))
         target = b ** N_max
         # exact adjustment of the float estimate, off by at most a few
@@ -231,7 +232,7 @@ class PrecisionBudget:
             est += 1
         while est > 1 and a ** (est - 1) >= target:
             est -= 1
-        return cls(a=a, b=b, N_max=N_max, guard_digits=guard_digits, L=est + guard_digits)
+        return cls(a=a, b=b, N_max=N_max, guard_digits=GUARD_DIGITS, L=est + GUARD_DIGITS)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,6 @@ class KroneckerSchedule:
     a: int
     b: int
     N: int
-    float_bits: int
     alpha: float
     dependent: bool
     nprime_table: np.ndarray
@@ -320,8 +320,7 @@ def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> Kroneck
     cb, pb = _primitive_power_base(b)
     if ca == cb:
         whole, rem = _floor_multiples(pb, pa, N)      # alpha = pb/pa exactly
-        return KroneckerSchedule(a=a, b=b, N=N, float_bits=float_bits,
-                                 alpha=pb / pa, dependent=True,
+        return KroneckerSchedule(a=a, b=b, N=N, alpha=pb / pa, dependent=True,
                                  nprime_table=whole, z_table=rem.astype(np.float64) / pa)
 
     import mpmath
@@ -340,6 +339,5 @@ def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> Kroneck
             raise PrecisionError(
                 f"floor of alpha*{n} ambiguous at {float_bits} bits; increase float_bits")
         z[n] = r / one
-    return KroneckerSchedule(a=a, b=b, N=N, float_bits=float_bits,
-                             alpha=scaled / one, dependent=False,
+    return KroneckerSchedule(a=a, b=b, N=N, alpha=scaled / one, dependent=False,
                              nprime_table=whole, z_table=z)

@@ -71,6 +71,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _switch(value) -> bool:
+    """A switch's value: only JSON true or false, never a truthy string like "false"."""
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
 def _int_list(spec) -> list[int]:
     if isinstance(spec, (list, tuple)):
         return [_int(v) for v in spec]
@@ -78,7 +85,7 @@ def _int_list(spec) -> list[int]:
 
 
 class Opt(NamedTuple):
-    """An option's reader (`bool` for a switch), default, and argparse choices and help."""
+    """An option's reader (`_switch` for a switch), default, and allowed values and help."""
     reader: Callable
     default: object = None
     choices: tuple | None = None
@@ -89,7 +96,7 @@ COMMON = {
     "config": Opt(str, help="flat key/value JSON file"),
     "out": Opt(str, "hostlab-out", help="output directory (default hostlab-out)"),
     "seed": Opt(_int, help="master seed (required)"),
-    "strict": Opt(bool, False, help="soft-threshold misses exit 1"),
+    "strict": Opt(_switch, False, help="soft-threshold misses exit 1"),
 }
 
 # Each subcommand's options, the one place each is declared.  The flag is
@@ -104,8 +111,8 @@ OPTIONS = {
         "samples": Opt(_int, 50),
         "k": Opt(_int, 0),
         "soft_median_threshold": Opt(float, 0.05),
-        "label": Opt(str, ""),
-        "dat": Opt(bool, False),
+        "label": Opt(str, "", help="run tag, only echoed in the summary"),
+        "dat": Opt(_switch, False),
     },
     "fourier-cert": {"battery": Opt(str, "default", ("default", "quick"))},
     "proof-chain": {
@@ -122,7 +129,7 @@ OPTIONS = {
         "trials": Opt(_int, 100),
         "window": Opt(_int, 1),
         "window_func": Opt(str, "sign0", ("parity", "sign0")),
-        "with_ratio": Opt(bool, False),
+        "with_ratio": Opt(_switch, False),
     },
     "time-change": {
         "gen": Opt(parse_generator),
@@ -168,13 +175,17 @@ class Options:
 
     def get(self, key: str, reader=None):
         """The value, read by the table's reader, or by `reader` where the
-        reading depends on another option; a value the reader cannot read is
-        a config error."""
+        reading depends on another option; a value the reader cannot read,
+        or one outside the option's choices, is a config error."""
         value = self.raw(key)
         if value is None:
             return None
+        opt = self._table[key]
         try:
-            return (reader or self._table[key].reader)(value)
+            read = (reader or opt.reader)(value)
+            if opt.choices and read not in opt.choices:
+                raise ValueError(f"expected one of {', '.join(opt.choices)}")
+            return read
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise InputError(f"bad value {value!r} for --{key.replace('_', '-')}: {exc}") from exc
 
@@ -189,6 +200,7 @@ class Options:
 # ---------------------------------------------------------------------------
 
 def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
+    dat = opts.get("dat")
     cfg = pipeline.HostExperimentConfig(
         gen=opts.require("gen"),
         b=opts.require("b"),
@@ -198,12 +210,11 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, di
         freqs=tuple(opts.get("m")),
         k=opts.get("k"),
         soft_final_threshold=opts.get("soft_median_threshold"),
-        label=opts.get("label") or "",
     )
     rep = pipeline.host_experiment(cfg)
     reports.write_csv(out_dir / "weyl.csv",
                       ["sample", "m", "N", "re", "im", "abs"], rep.rows)
-    if opts.get("dat"):
+    if dat:
         lines = []
         for N in cfg.checkpoints:
             med = [rep.medians[(m, N)] for m in cfg.freqs]
@@ -245,15 +256,13 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
         meas = [("cantor3", measures.realize(measures.cantor3(), 7))]
         ms, bs = [1, -1, 2], [2.0]
         rs = [3.0 ** -j for j in (1, 2)]
-    elif battery == "default":
+    else:
         densities = fourier.c1_default_battery()
         ts = [t for base in (1, 2, 5, 10, 100) for t in (base, -base)]
         meas = fourier.default_measure_battery(opts.get("seed"))
         ms = [m for mm in range(1, 9) for m in (mm, -mm)]
         bs = [2.0, 10.0]
         rs = [3.0 ** -j for j in range(1, 7)]
-    else:
-        raise InputError(f"unknown battery {battery!r}")
 
     c1_rows = fourier.c1_certificate(densities, ts, slack=slack)
     reports.write_csv(out_dir / "c1_cert.csv",
@@ -310,22 +319,14 @@ def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[
     }
 
 
-def _window_function(gen: measures.MeasureGen, name: str, window: int):
-    if name == "parity":
-        return ergodic.parity_window(gen.base, window)
-    if name == "sign0":
-        return ergodic.first_digit_sign(gen.base)
-    raise InputError(f"unknown window function {name!r}")
-
-
 def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
     gen = opts.require("gen")
-    N = opts.get("N")
-    f = _window_function(gen, opts.get("window_func"), opts.get("window"))
-    proc = ergodic.SymbolicProcess(gen=gen, seed=opts.get("seed"))
+    N, with_ratio = opts.get("N"), opts.get("with_ratio")
+    parity, window = opts.get("window_func") == "parity", opts.get("window")
+    f = ergodic.parity_window(gen.base, window) if parity else ergodic.first_digit_sign(gen.base)
 
     def trial_rms(n: int, name: str) -> float:
-        vals = ergodic.martingale_avg_experiment(proc, f, N=n, trials=opts.get("trials"))
+        vals = ergodic.martingale_avg_experiment(gen, f, n, opts.get("trials"), opts.get("seed"))
         reports.write_csv(out_dir / name, ["trial", "N", "value"],
                           [(t, n, float(v)) for t, v in enumerate(vals)])
         return float(np.sqrt(np.mean(vals ** 2)))
@@ -336,10 +337,12 @@ def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[i
         warnings.append(f"trial RMS {rms:g} above soft bound {bound:g}")
 
     ratio = None
-    if opts.get("with_ratio"):
+    if with_ratio:
         rms4 = trial_rms(4 * N, "martingale_4N.csv")
-        ratio = rms4 / rms if rms > 0 else float("nan")
-        if not (0.3 <= ratio <= 0.75):
+        ratio = rms4 / rms if rms > 0 else None     # null in the summary: JSON has no NaN
+        if ratio is None:
+            warnings.append("RMS(4N)/RMS(N) undefined: RMS(N) = 0")
+        elif not (0.3 <= ratio <= 0.75):
             warnings.append(f"RMS(4N)/RMS(N) = {ratio:g} outside [0.3, 0.75]")
 
     return 0, {
@@ -430,8 +433,7 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int
         gen = measures.bernoulli(a, [0.25, 0.75]) if a == 2 else measures.uniform(a)
         cfg = pipeline.HostExperimentConfig(
             gen=gen, b=opts.get("b"), seed=opts.get("seed"), samples=opts.get("samples"),
-            checkpoints=(10_000, 100_000), freqs=(1,),
-            label="negative-control-dependent")
+            checkpoints=(10_000, 100_000), freqs=(1,))
         rep = pipeline.host_experiment(cfg)
         # transform of realize(gen, 20), from its product structure alone
         mu_hat = complex(fourier._ft_structured(
@@ -460,8 +462,6 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int
         rows.append(("rational", 0, N, float(acc.value(N, 1).real),
                      float(acc.value(N, 1).imag), float(err), ok))
 
-    if not rows:
-        raise InputError(f"unknown controls mode {mode!r}")
     reports.write_csv(out_dir / "controls.csv",
                       ["mode", "sample", "N", "re", "im", "err", "ok"], rows)
     return 0, {"label": "negative-control", "rows": len(rows),
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_) in RUNNERS.items():
         p = sub.add_parser(name, help=help_)
         for key, opt in {**COMMON, **OPTIONS[name]}.items():
-            if opt.reader is bool:
+            if opt.reader is _switch:
                 kind = {"action": "store_const", "const": True}
             else:
                 kind = {"type": ARGPARSE_TYPES.get(opt.reader), "choices": opt.choices}
@@ -517,6 +517,7 @@ def main(argv=None) -> int:
             args.checkpoints = ",".join(map(str, cps))
         opts = Options(args, {**COMMON, **OPTIONS[sub]})
         opts.require("seed")
+        strict = opts.get("strict")
         reports.thread_count()      # a bad HOSTLAB_THREADS is exit 2 on any subcommand
         out_dir = Path(opts.get("out"))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -531,7 +532,7 @@ def main(argv=None) -> int:
         })
         for w in warnings:
             print(f"WARNING: {w}", file=sys.stderr)
-        if warnings and opts.get("strict"):
+        if warnings and strict:
             print(f"strict mode: {len(warnings)} soft failure(s)", file=sys.stderr)
             return 1
         if warnings:

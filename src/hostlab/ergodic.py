@@ -16,7 +16,7 @@ import numpy as np
 
 from .adic import _floor_multiples
 from .errors import InputError
-from .measures import BERNOULLI, IFS_DIGITS, MARKOV, MeasureGen, realize, sample_digits
+from .measures import BERNOULLI, MARKOV, MeasureGen, realize, sample_digits
 from .reports import derive_rng
 
 
@@ -25,8 +25,8 @@ from .reports import derive_rng
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class WindowFunction:
-    """Real table over digit words of a fixed window length."""
+class DigitFunction:
+    """Real or complex table over digit words of a fixed window length."""
 
     base: int
     window: int
@@ -34,7 +34,8 @@ class WindowFunction:
     label: str = ""
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.table, dtype=np.float64)
+        t = np.asarray(self.table)
+        t = np.ascontiguousarray(t, dtype=np.result_type(t, np.float64))
         if self.window < 1 or len(t) != self.base ** self.window:
             raise InputError("table length must be base**window, window >= 1")
         t.flags.writeable = False
@@ -44,8 +45,12 @@ class WindowFunction:
     def sup(self) -> float:
         return float(np.max(np.abs(self.table)))
 
+    def integral(self, gen: MeasureGen) -> complex:
+        """Exact integral against the stationary measure (cylinder function)."""
+        return complex(np.dot(realize(gen, self.window).weights, self.table))
 
-def parity_window(base: int, window: int) -> WindowFunction:
+
+def parity_window(base: int, window: int) -> DigitFunction:
     """+-1 according to the parity of the digit sum over the window."""
     idx = np.arange(base ** window)
     total = np.zeros_like(idx)
@@ -53,31 +58,19 @@ def parity_window(base: int, window: int) -> WindowFunction:
     for _ in range(window):
         total += rest % base
         rest //= base
-    return WindowFunction(base=base, window=window,
-                          table=np.where(total % 2 == 0, 1.0, -1.0),
-                          label=f"parity{window}")
+    return DigitFunction(base=base, window=window,
+                         table=np.where(total % 2 == 0, 1.0, -1.0),
+                         label=f"parity{window}")
 
 
-def first_digit_sign(base: int) -> WindowFunction:
+def first_digit_sign(base: int) -> DigitFunction:
     """+1 on digit 0, -1 otherwise (window length 1)."""
     t = -np.ones(base)
     t[0] = 1.0
-    return WindowFunction(base=base, window=1, table=t, label="sign0")
+    return DigitFunction(base=base, window=1, table=t, label="sign0")
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolicProcess:
-    """A generator viewed as a stationary digit process, with a master seed."""
-
-    gen: MeasureGen
-    seed: int
-
-    def __post_init__(self):
-        if self.gen.kind not in (BERNOULLI, MARKOV):
-            raise InputError("symbolic process requires a bernoulli or markov generator")
-
-
-def _conditional_table(gen: MeasureGen, f: WindowFunction) -> np.ndarray:
+def _conditional_table(gen: MeasureGen, f: DigitFunction) -> np.ndarray:
     """E[f(next window) | current state], in closed form.
 
     For i.i.d. digits this is the constant mean; for a chain it is the k-step
@@ -103,15 +96,17 @@ def _word_indices(digits: np.ndarray, k: int, base: int) -> np.ndarray:
     return windows @ powers
 
 
-def martingale_avg_experiment(proc: SymbolicProcess, f: WindowFunction,
-                              N: int, trials: int) -> np.ndarray:
+def martingale_avg_experiment(gen: MeasureGen, f: DigitFunction,
+                              N: int, trials: int, seed: int) -> np.ndarray:
     """Per-trial values of the length-N Cesaro average of f_n - E(f_n | first n digits).
 
     f_n reads the digits at positions n+1 .. n+window; its conditional
     expectation given the first n digits is the closed-form table above, so
-    no inner simulation is involved.
+    no inner simulation is involved.  Trial t samples its digits from
+    derive_rng(seed, t).
     """
-    gen = proc.gen
+    if gen.kind not in (BERNOULLI, MARKOV):
+        raise InputError("symbolic process requires a bernoulli or markov generator")
     if f.base != gen.base:
         raise InputError("window function and process bases differ")
     if N < 1 or trials < 1:
@@ -120,7 +115,7 @@ def martingale_avg_experiment(proc: SymbolicProcess, f: WindowFunction,
     k = f.window
 
     def one_trial(trial: int) -> float:
-        rng = derive_rng(proc.seed, trial)
+        rng = derive_rng(seed, trial)
         digits = sample_digits(gen, N + k, rng)
         words = _word_indices(digits, k, gen.base)
         f_vals = f.table[words[1:N + 1]]
@@ -133,27 +128,6 @@ def martingale_avg_experiment(proc: SymbolicProcess, f: WindowFunction,
 # ---------------------------------------------------------------------------
 # Joint equidistribution along floor(beta n)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class DigitFunction:
-    """Complex test function depending on a fixed number of leading digits."""
-
-    base: int
-    window: int
-    table: np.ndarray = field(repr=False)
-    label: str = ""
-
-    def __post_init__(self):
-        t = np.ascontiguousarray(self.table, dtype=np.complex128)
-        if self.window < 1 or len(t) != self.base ** self.window:
-            raise InputError("table length must be base**window")
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-
-    def integral(self, gen: MeasureGen) -> complex:
-        """Exact integral against the stationary measure (cylinder function)."""
-        return complex(np.dot(realize(gen, self.window).weights, self.table))
-
 
 def first_digit_indicator(base: int, digit: int = 0) -> DigitFunction:
     t = np.zeros(base, dtype=np.complex128)

@@ -46,6 +46,7 @@ import numpy as np
 from .errors import InputError, QuadratureError
 from .measures import (AdicMeasure, _lag_correlation, _lag_weights, bernoulli, cantor3,
                        correlation_integral, markov, realize, uniform)
+from .reports import derive_rng
 
 TAU = 2.0 * np.pi
 
@@ -150,13 +151,6 @@ def ft_adic_many(mu: AdicMeasure, xis) -> np.ndarray:
 def ft_adic(mu: AdicMeasure, xi: float) -> complex:
     """Exact transform of the piecewise-uniform measure at frequency xi."""
     return complex(ft_adic_many(mu, np.array([xi]))[0])
-
-
-def ft_scaled(mu: AdicMeasure, t: float, m: int) -> complex:
-    """Transform of the measure scaled by t, at integer frequency m."""
-    if t <= 0:
-        raise InputError("scale t must be positive")
-    return ft_adic(mu, m * t)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +321,7 @@ def smoothing_rhs(mu: AdicMeasure, params: SmoothingParams) -> float:
 def default_measure_battery(seed: int = 20240) -> list[tuple[str, AdicMeasure]]:
     """Four measures deep enough for the r-grid guard: Lebesgue, the base-3
     digit-set measure, a 2-state chain, and a seeded random Bernoulli."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    rng = derive_rng(seed, 0)
     p0 = float(rng.uniform(0.15, 0.85))
     return [
         ("uniform2", realize(uniform(2), 14)),

@@ -53,7 +53,6 @@ class MeasureGen:
     p: np.ndarray | None = None
     P: np.ndarray | None = None
     pi: np.ndarray | None = None
-    digits: tuple[int, ...] | None = None
     label: str = ""
     steps: StepTable | None = field(default=None, repr=False)
 
@@ -154,7 +153,7 @@ def ifs_digits(base: int, digits, weights=None) -> MeasureGen:
         raise InputError("weights must match the digit set, be finite and sum to 1")
     p = np.zeros(base)
     p[list(digits)] = weights
-    return MeasureGen(kind=IFS_DIGITS, base=base, p=_freeze(p), digits=digits,
+    return MeasureGen(kind=IFS_DIGITS, base=base, p=_freeze(p),
                       label=f"ifs({base};{','.join(map(str, digits))})")
 
 
@@ -348,12 +347,6 @@ def equivariance_gap(gen: MeasureGen, past: PastWord, w: CylinderWord,
     lhs = cylinder_condition(conditional_on_past(gen, past, N), w)
     rhs = conditional_on_past(gen, past.extended_by(w.digits), N - n)
     return float(np.max(np.abs(lhs.weights - rhs.weights)))
-
-
-def verify_equivariance(gen: MeasureGen, past: PastWord, w: CylinderWord,
-                        N: int, tol: float = 1e-12) -> bool:
-    """True iff the two routes of `equivariance_gap` agree within tol."""
-    return equivariance_gap(gen, past, w, N) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,7 @@ def _freqs_and_checkpoints(freqs, checkpoints):
     return freqs, checkpoints
 
 
-def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints,
-             guard_digits: int = 64) -> WeylAccumulator:
+def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints) -> WeylAccumulator:
     """Running character averages W_N(m) along the exact xb orbit of x.
 
     The point's retained precision must cover the longest checkpoint; running
@@ -136,7 +135,7 @@ def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints,
     freqs, checkpoints = _freqs_and_checkpoints(freqs, checkpoints)
     if b < 2:
         raise InputError("b must be >= 2")
-    budget = PrecisionBudget.plan(x.base, b, checkpoints[-1], guard_digits)
+    budget = PrecisionBudget.plan(x.base, b, checkpoints[-1])
     if x.precision < budget.L:
         raise PrecisionError(
             f"point precision {x.precision} below budget {budget.L} "
@@ -277,15 +276,16 @@ class ProofChainEstimate:
 
 def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
                          samples: int, level: int | None = None,
-                         seed: int = 0, past_length: int = 32) -> ProofChainEstimate:
+                         seed: int = 0) -> ProofChainEstimate:
     """Estimate the average over pasts of int_0^1 |F_m(S_{a^z} S_{a^k} mu_past)|^2 dz.
 
     The z-integral is the scale-smoothing quantity with scale base a and
     prescale a^k; its companion bound is 1/(a^(k/2) |m| ln a) plus the
     correlation integral of the unscaled conditional at radius a^(-k/2).
-    Conditional measures of the supported generator kinds depend on at most
-    the most recent past symbol, so distinct sampled pasts reuse cached
-    values; the Monte Carlo mean and standard error are unchanged by this.
+    Pasts are 32 symbols long.  Conditional measures of the supported
+    generator kinds depend on at most the most recent past symbol, so
+    distinct sampled pasts reuse cached values; the Monte Carlo mean and
+    standard error are unchanged by this.
     """
     a = gen.base
     if m == 0:
@@ -316,7 +316,7 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
     corr_vals = np.empty(samples)
     for i in range(samples):
         rng = derive_rng(seed, k, m, i)
-        past = sample_past(gen, length=past_length, rng=rng)
+        past = sample_past(gen, length=32, rng=rng)
         key = past.symbols[0] if gen.kind == MARKOV else -1
         lhs_vals[i], corr_vals[i] = values_for(key, past)
 
@@ -345,9 +345,7 @@ class HostExperimentConfig:
     checkpoints: tuple[int, ...] = (1000, 10_000, 100_000)
     freqs: tuple[int, ...] = (1, 2, 3)
     k: int = 0
-    guard_digits: int = 64
     soft_final_threshold: float = 0.05
-    label: str = ""
 
     def __post_init__(self):
         freqs, checkpoints = _freqs_and_checkpoints(self.freqs, self.checkpoints)
@@ -390,7 +388,7 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
         raise InputError("generator entropy must be positive")
     negative_control = multiplicatively_dependent(a, b)
 
-    budget = PrecisionBudget.plan(a, b, max(cfg.checkpoints), cfg.guard_digits)
+    budget = PrecisionBudget.plan(a, b, max(cfg.checkpoints))
     L = budget.L + cfg.k
 
     def run_sample(i: int):
@@ -399,7 +397,7 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
         x = make_point_from_digits(a, digits)
         if cfg.k:
             x = mul_mod1(x, a ** cfg.k)
-        acc = weyl_sum(x, b, cfg.freqs, cfg.checkpoints, cfg.guard_digits)
+        acc = weyl_sum(x, b, cfg.freqs, cfg.checkpoints)
         return acc.values
 
     all_vals = list(parallel_map(run_sample, range(cfg.samples)))

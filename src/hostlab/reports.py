@@ -42,11 +42,12 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def version_string() -> str:

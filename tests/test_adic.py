@@ -174,8 +174,9 @@ def test_no_drift_iterated_vs_one_shot():
 
 
 def test_precision_budget_exact_ceiling():
-    budget = PrecisionBudget.plan(3, 2, N_max=1000, guard_digits=64)
+    budget = PrecisionBudget.plan(3, 2, N_max=1000)
     core = budget.L - 64
+    assert budget.guard_digits == 64
     assert 3 ** core >= 2 ** 1000 > 3 ** (core - 1)
     # one xb step consumes log_a b digits; budget linear in N_max
     assert PrecisionBudget.plan(3, 2, N_max=2000).L > budget.L
@@ -185,10 +186,11 @@ def test_precision_budget_exact_ceiling():
 @pytest.mark.parametrize("N_max", [1, 2, 53, 1000, 10 ** 5])
 @pytest.mark.parametrize("guard", [0, 64])
 def test_precision_budget_float_estimate_gives_the_exact_ceiling(a, b, N_max, guard):
-    L = PrecisionBudget.plan(a, b, N_max, guard).L
-    core, target = L - guard, b ** N_max
+    # the plan's core L - 64 is the exact ceiling: the oracle's at guard 0, and at 64 the full L
+    plan = PrecisionBudget.plan(a, b, N_max)
+    core, target = plan.L - plan.guard_digits, b ** N_max
     assert core >= 1 and a ** core >= target > a ** (core - 1)
-    assert L == precision_budget_L(a, b, N_max, guard)
+    assert core + guard == precision_budget_L(a, b, N_max, guard)
 
 
 def test_kronecker_schedule_log2_over_log3():

@@ -273,7 +273,7 @@ def test_weyl_summary_carries_the_precision_budget(tmp_path, monkeypatch):
     assert (read_bytes(outs[1] / "weyl_summary.json")
             == read_bytes(outs[2] / "weyl_summary.json"))
     summary = json.loads((outs[1] / "weyl_summary.json").read_text())
-    plan = PrecisionBudget.plan(3, 2, 1500, 64)
+    plan = PrecisionBudget.plan(3, 2, 1500)
     assert summary["diagnostics"]["precision_budget"] == {
         "a": 3, "b": 2, "N_max": 1500, "guard_digits": 64, "L": plan.L,
         "digits_consumed": plan.L - 64}
@@ -326,8 +326,19 @@ def test_parallel_map_preserves_order(monkeypatch):
     (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "1k"], None),
     (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100"], {"samples": "ten"}),
     (["time-change", "--gen", "uniform:2", "--theta", "0.3", "--gfuncs", "indx"], None),
+    (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100", "--samples", "1",
+      "--soft-median-threshold", "0"], {"strict": "false"}),
+    (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100", "--samples", "1"],
+     {"dat": 1}),
+    (["martingale", "--gen", "uniform:2", "--N", "100", "--trials", "2"], {"with_ratio": "true"}),
+    (["fourier-cert"], {"battery": "full"}),
+    (["martingale", "--gen", "uniform:2", "--N", "100", "--trials", "2"],
+     {"window_func": "cosine"}),
+    (["controls"], {"mode": "neither"}),
 ], ids=["theta-abc", "theta-log-one-arg", "theta-log-base-one", "checkpoints-1k",
-        "config-samples-ten", "gfuncs-indx"])
+        "config-samples-ten", "gfuncs-indx", "config-strict-string", "config-dat-number",
+        "config-with-ratio-string", "config-battery-choice", "config-window-func-choice",
+        "config-mode-choice"])
 def test_malformed_option_value_is_config_error(argv, config, tmp_path, capsys):
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
@@ -373,6 +384,35 @@ def test_strict_from_config_file_or_flag(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"strict": True}))
     assert cli.main([*soft_miss, "--config", str(cfg_path)]) == 1
+
+
+def test_config_switch_false_is_off(tmp_path):
+    (tmp_path / "run.json").write_text(json.dumps({"strict": False, "with_ratio": False}))
+    argv = ["martingale", "--gen", "uniform:2", "--N", "100", "--trials", "2", "--seed", "1",
+            "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert not (tmp_path / "out" / "martingale_4N.csv").exists()
+
+
+def test_undefined_rms_ratio_is_null_in_a_strict_json_summary(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["martingale", "--gen", "bernoulli:1,0", "--with-ratio", "--N", "100",
+                     "--trials", "2", "--seed", "1", "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    summary = json.loads((out / "martingale_summary.json").read_text(), parse_constant=refuse)
+    assert summary["rms"] == 0.0 and summary["rms_ratio_4N"] is None
+    assert summary["warnings"] == ["RMS(4N)/RMS(N) undefined: RMS(N) = 0"]
+    assert "WARNING: RMS(4N)/RMS(N) undefined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_refuses_non_finite_values(value, tmp_path):
+    with pytest.raises(ValueError):
+        reports.write_json(tmp_path / "summary.json", {"x": [1.0, value]})
+    assert not (tmp_path / "summary.json").exists()
 
 
 IMPORT_PROBE = """

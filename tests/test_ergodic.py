@@ -6,8 +6,6 @@ import pytest
 from hostlab.errors import InputError
 from hostlab.ergodic import (
     DigitFunction,
-    SymbolicProcess,
-    WindowFunction,
     character_on_digits,
     first_digit_indicator,
     first_digit_sign,
@@ -16,7 +14,7 @@ from hostlab.ergodic import (
     parity_window,
     time_change_joint_experiment,
 )
-from hostlab.measures import bernoulli, cantor3, markov, uniform
+from hostlab.measures import bernoulli, cantor3, markov, realize, uniform
 from oracles import exp_weyl_bound_check, split_index_average
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
@@ -24,16 +22,14 @@ LOG23 = math.log(2) / math.log(3)
 
 
 def test_constant_window_gives_exact_zero():
-    proc = SymbolicProcess(gen=uniform(2), seed=5)
-    f = WindowFunction(base=2, window=2, table=np.full(4, 0.7), label="const")
-    vals = martingale_avg_experiment(proc, f, N=500, trials=8)
+    f = DigitFunction(base=2, window=2, table=np.full(4, 0.7), label="const")
+    vals = martingale_avg_experiment(uniform(2), f, N=500, trials=8, seed=5)
     assert np.max(np.abs(vals)) < 1e-15
 
 
 def test_iid_sign_window_clt_scale():
-    proc = SymbolicProcess(gen=uniform(2), seed=11)
     f = first_digit_sign(2)
-    vals = martingale_avg_experiment(proc, f, N=10_000, trials=100)
+    vals = martingale_avg_experiment(uniform(2), f, N=10_000, trials=100, seed=11)
     rms = float(np.sqrt(np.mean(vals ** 2)))
     # i.i.d. differences have variance 1/N
     assert 0.005 < rms < 0.02
@@ -41,25 +37,36 @@ def test_iid_sign_window_clt_scale():
 
 
 def test_markov_window_rms_bound():
-    proc = SymbolicProcess(gen=markov(MARKOV_P), seed=13)
     f = parity_window(2, 2)
-    vals = martingale_avg_experiment(proc, f, N=10_000, trials=60)
+    vals = martingale_avg_experiment(markov(MARKOV_P), f, N=10_000, trials=60, seed=13)
     rms = float(np.sqrt(np.mean(vals ** 2)))
     assert rms <= 3.0 * f.sup / 100.0
 
 
 def test_sqrt_law_when_n_quadruples():
-    proc = SymbolicProcess(gen=markov(MARKOV_P), seed=17)
-    f = parity_window(2, 3)
-    r1 = martingale_avg_experiment(proc, f, N=2_500, trials=100)
-    r4 = martingale_avg_experiment(proc, f, N=10_000, trials=100)
+    gen, f = markov(MARKOV_P), parity_window(2, 3)
+    r1 = martingale_avg_experiment(gen, f, N=2_500, trials=100, seed=17)
+    r4 = martingale_avg_experiment(gen, f, N=10_000, trials=100, seed=17)
     ratio = np.sqrt(np.mean(r4 ** 2) / np.mean(r1 ** 2))
     assert 1 / 3 <= ratio <= 0.75
 
 
 def test_process_rejects_ifs_kind():
+    with pytest.raises(InputError, match="requires a bernoulli or markov generator"):
+        martingale_avg_experiment(cantor3(), first_digit_sign(3), N=10, trials=1, seed=1)
+
+
+def test_digit_function_keeps_real_tables_real():
+    gen = markov(MARKOV_P)
+    f = parity_window(2, 2)
+    assert f.table.dtype == np.float64 and f.sup == 1.0
+    assert f.integral(gen) == complex(np.dot(realize(gen, 2).weights, f.table))
+    assert DigitFunction(base=2, window=1, table=[1, -3]).table.dtype == np.float64
+    g = first_digit_indicator(2, 1)
+    assert g.table.dtype == np.complex128 and g.sup == 1.0
+    assert abs(g.integral(gen) - realize(gen, 1).weights[1]) < 1e-15
     with pytest.raises(InputError):
-        SymbolicProcess(gen=cantor3(), seed=1)
+        DigitFunction(base=2, window=2, table=np.ones(3))
 
 
 def test_split_index_average_exact_cases():

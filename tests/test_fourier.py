@@ -18,7 +18,6 @@ from hostlab.fourier import (
     e,
     ft_adic,
     ft_adic_many,
-    ft_scaled,
     quadratic_bump,
     raised_cosine,
     scaled_sq_integral,
@@ -142,12 +141,9 @@ def test_conjugate_symmetry():
 
 def test_ft_scaled_identity_and_wrap():
     mu = realize(cantor3(), 7)
-    assert ft_scaled(mu, 1.0, 3) == ft_adic(mu, 3.0)
-    with pytest.raises(InputError):
-        ft_scaled(mu, 0.0, 1)
-    # explicit mod-1 wrapping of the scaled cells agrees with the frequency identity
+    # explicit mod-1 wrapping of the scaled cells agrees with F_m(S_t mu) = F(mu, m t)
     for t, m in ((1.7, 1), (3.0 ** 0.4, 2), (5.25, 3)):
-        assert abs(ft_scaled(mu, t, m) - wrapped_transform(mu, t, m)) < 1e-10
+        assert abs(ft_adic(mu, m * t) - wrapped_transform(mu, t, m)) < 1e-10
 
 
 def test_modulus_translation_invariance():
@@ -159,7 +155,7 @@ def test_modulus_translation_invariance():
             xi = m * t
             translated = np.sinc(xi * h) * np.dot(
                 mu.weights, np.exp(2j * np.pi * xi * (centers + theta)))
-            assert abs(abs(translated) - abs(ft_scaled(mu, t, m))) < 1e-12
+            assert abs(abs(translated) - abs(ft_adic(mu, xi))) < 1e-12
 
 
 def test_near_atom_fixed_by_scaling():
@@ -167,7 +163,7 @@ def test_near_atom_fixed_by_scaling():
     w[0] = 1.0
     mu = AdicMeasure(base=2, level=20, weights=w)
     for t, m in ((1.0, 1), (2.0, 3), (7.5, 2)):
-        assert abs(ft_scaled(mu, t, m) - 1.0) < math.pi * abs(m) * t * mu.cell_width
+        assert abs(ft_adic(mu, m * t) - 1.0) < math.pi * abs(m) * t * mu.cell_width
 
 
 def test_c1_bound_quadratic_bump():
