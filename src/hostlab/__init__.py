@@ -1,13 +1,11 @@
 """hostlab: exact xb-orbit experiments, adic measures, and Fourier smoothing bounds."""
 
 from .adic import (
-    KroneckerSchedule,
     PrecisionBudget,
     UnitPoint,
     kronecker_schedule,
     make_point_from_digits,
     mul_mod1,
-    to_real,
 )
 from .errors import (
     HostlabError,
@@ -46,7 +44,6 @@ from .measures import (
 )
 from .pipeline import (
     HostExperimentConfig,
-    WeylAccumulator,
     host_experiment,
     orbit_vs_conditional_compare,
     proof_chain_quantity,

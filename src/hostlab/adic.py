@@ -97,12 +97,6 @@ class UnitPoint:
     def denominator(self) -> int:
         return _pow(self.base, self.precision)
 
-    def digit(self, j: int) -> int:
-        """j-th base-a digit, 1-indexed from the most significant."""
-        if not (1 <= j <= self.precision):
-            raise InputError(f"digit index {j} outside 1..{self.precision}")
-        return (self.numerator // _pow(self.base, self.precision - j)) % self.base
-
 
 def _digits_per_word(base: int) -> int:
     """Largest k >= 1 with base**k < 2**64: the digits one uint64 word holds."""
@@ -172,28 +166,11 @@ def make_point_from_digits(base: int, digits) -> UnitPoint:
     return UnitPoint(base, len(d), words[0])
 
 
-def digits_of(x: UnitPoint, count: int | None = None) -> list[int]:
-    """First `count` digits of x (all retained digits by default)."""
-    count = x.precision if count is None else count
-    if not (1 <= count <= x.precision):
-        raise InputError(f"count {count} outside 1..{x.precision}")
-    head = x.numerator // _pow(x.base, x.precision - count)
-    return _int_to_digits(head, x.base, count).tolist()
-
-
 def mul_mod1(x: UnitPoint, t: int) -> UnitPoint:
     """t*x mod 1 at fixed denominator: numerator' = (t * numerator) mod base**L."""
     if not isinstance(t, int) or t <= 0:
         raise InputError(f"multiplier must be a positive integer, got {t!r}")
     return UnitPoint(x.base, x.precision, (t * x.numerator) % x.denominator)
-
-
-def to_real(x: UnitPoint, bits: int = 53) -> float:
-    """Top `bits` binary digits of x as a float; error < 2^-bits + base^-L."""
-    if not (1 <= bits <= 53):
-        raise InputError("bits must be in 1..53 (float64 return)")
-    q = (x.numerator << bits) // x.denominator
-    return q / float(1 << bits)
 
 
 # ---------------------------------------------------------------------------
@@ -275,69 +252,44 @@ def multiplicatively_dependent(a: int, b: int) -> bool:
     return _primitive_power_base(a)[0] == _primitive_power_base(b)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class KroneckerSchedule:
-    """Tables n'(n) = floor(alpha*n) and z(n) = alpha*n mod 1 for n = 0..N."""
-
-    a: int
-    b: int
-    N: int
-    alpha: float
-    dependent: bool
-    nprime_table: np.ndarray
-    z_table: np.ndarray
-
-    def _check(self, n: int) -> int:
-        if not 0 <= n <= self.N:
-            raise InputError(f"schedule index {n} outside 0..{self.N}")
-        return n
-
-    def nprime(self, n: int) -> int:
-        return int(self.nprime_table[self._check(n)])
-
-    def z(self, n: int) -> float:
-        return float(self.z_table[self._check(n)])
+ALPHA_BITS = 128      # alpha is carried as floor(alpha * 2^ALPHA_BITS)
 
 
-def kronecker_schedule(a: int, b: int, N: int, float_bits: int = 128) -> KroneckerSchedule:
-    """Build the schedule; every floor is certified to at least 2^-100.
+def kronecker_schedule(a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n', z) for n = 0..N: n'(n) = floor(alpha*n) (int64) and
+    z(n) = alpha*n mod 1 (float64); every floor is certified to 2^-100.
 
-    alpha = log b / log a is computed at `float_bits` bits via an integer
-    scaling floor(alpha * 2^float_bits), so the residues alpha*n mod 1 are
-    exact integer arithmetic on that approximation.  If some alpha*n comes
-    within 2^-100 of an integer the schedule aborts rather than guess the
-    floor.  Multiplicatively dependent (a, b) make alpha rational: the
-    schedule is then computed exactly and flagged (z_n is periodic).
+    alpha = log b / log a is carried as floor(alpha * 2^ALPHA_BITS), from
+    ALPHA_BITS + 48 working bits, so the residues alpha*n mod 1 are exact
+    integer arithmetic on that approximation.  If some alpha*n comes within
+    2^-100 of an integer the schedule aborts rather than guess the floor.
+    Multiplicatively dependent (a, b) make alpha rational: the schedule is
+    then computed exactly (z is periodic).
     """
     if a < 2 or b < 2:
         raise InputError("a and b must be >= 2")
     if N < 1:
         raise InputError("N must be >= 1")
-    if float_bits < 110:
-        raise InputError("float_bits must be >= 110 (floor guard is 2^-100)")
 
     ca, pa = _primitive_power_base(a)
     cb, pb = _primitive_power_base(b)
     if ca == cb:
         whole, rem = _floor_multiples(pb, pa, N)      # alpha = pb/pa exactly
-        return KroneckerSchedule(a=a, b=b, N=N, alpha=pb / pa, dependent=True,
-                                 nprime_table=whole, z_table=rem.astype(np.float64) / pa)
+        return whole, rem.astype(np.float64) / pa
 
     import mpmath
-    with mpmath.workprec(float_bits + 48):
+    with mpmath.workprec(ALPHA_BITS + 48):
         alpha_mp = mpmath.log(b) / mpmath.log(a)
-        scaled = int(mpmath.floor(alpha_mp * mpmath.mpf(2) ** float_bits))
-    one = 1 << float_bits
-    whole, rem = _floor_multiples(scaled, one, N)     # rem's limbs, shifted to fill them
+        scaled = int(mpmath.floor(alpha_mp * mpmath.mpf(2) ** ALPHA_BITS))
+    one = 1 << ALPHA_BITS
+    whole, rem = _floor_multiples(scaled, one, N)     # rem's 32-bit limbs
     top = rem[-1] << 32 | rem[-2]                     # rem's leading 64 bits
     z = (top | (np.bitwise_or.reduce(rem[:-2], axis=0) != 0)).astype(np.float64) * 2.0 ** -64
     # top + sticky round like rem at >= 55 significant bits; else, or near an integer, exactly
     rare = np.flatnonzero((top < 1 << 54) | (top == ~np.uint64(0)))
     for n, limbs in zip(rare.tolist(), rem[:, rare].T.tolist()):
-        r = sum(v << 32 * i for i, v in enumerate(limbs)) >> (-float_bits % 32)
-        if n and min(r, one - r) < 1 << (float_bits - 100):
-            raise PrecisionError(
-                f"floor of alpha*{n} ambiguous at {float_bits} bits; increase float_bits")
+        r = sum(v << 32 * i for i, v in enumerate(limbs))
+        if n and min(r, one - r) < 1 << (ALPHA_BITS - 100):
+            raise PrecisionError(f"floor of alpha*{n} ambiguous at {ALPHA_BITS} bits")
         z[n] = r / one
-    return KroneckerSchedule(a=a, b=b, N=N, alpha=scaled / one, dependent=False,
-                             nprime_table=whole, z_table=z)
+    return whole, z

@@ -167,6 +167,10 @@ class Options:
                 raise InputError(f"cannot read config file {cfg_path}: {exc}") from exc
             if not isinstance(self._file, dict):
                 raise InputError("config file must hold a flat JSON object")
+            unknown = [key for key in self._file if key not in table]
+            if unknown:
+                raise InputError("config file keys not options of this subcommand: "
+                                 + ", ".join(map(repr, unknown)))
 
     def raw(self, key: str):
         """The value as given, unread: what the summary echoes."""
@@ -323,6 +327,8 @@ def run_martingale(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[i
     gen = opts.require("gen")
     N, with_ratio = opts.get("N"), opts.get("with_ratio")
     parity, window = opts.get("window_func") == "parity", opts.get("window")
+    if window != 1 and not parity:
+        raise InputError(f"--window {window} needs --window-func parity; sign0 reads one digit")
     f = ergodic.parity_window(gen.base, window) if parity else ergodic.first_digit_sign(gen.base)
 
     def trial_rms(n: int, name: str) -> float:
@@ -453,14 +459,13 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int
         N = opts.get("N_rational")
         reps = N // 3 + 64
         x = adic.make_point_from_digits(2, [0, 0, 1] * reps)
-        acc = pipeline.weyl_sum(x, 2, freqs=(1,), checkpoints=(N,))
+        w = pipeline.weyl_sum(x, 2, freqs=(1,), checkpoints=(N,))[0, 0]
         target = sum(np.exp(2j * np.pi * r / 7) for r in (1, 2, 4)) / 3
-        err = abs(acc.value(N, 1) - target)
+        err = abs(w - target)
         ok = err < 1e-3
         if not ok:
             warnings.append(f"rational control error {err:g} above 1e-3")
-        rows.append(("rational", 0, N, float(acc.value(N, 1).real),
-                     float(acc.value(N, 1).imag), float(err), ok))
+        rows.append(("rational", 0, N, float(w.real), float(w.imag), float(err), ok))
 
     reports.write_csv(out_dir / "controls.csv",
                       ["mode", "sample", "N", "re", "im", "err", "ok"], rows)

@@ -154,8 +154,6 @@ def operationally_irrational(theta: float, q_max: int = 10 ** 6,
 
 @dataclass(frozen=True, eq=False)
 class JointEquidistResult:
-    theta: float
-    beta: float
     js: tuple[int, ...]
     g_labels: tuple[str, ...]
     averages: np.ndarray          # (len(js), len(gs)) complex
@@ -163,8 +161,6 @@ class JointEquidistResult:
     z_scores: np.ndarray
     tolerance: float
     eps_N: float
-    M: int
-    N: int
 
     def deviations(self) -> np.ndarray:
         return np.abs(self.averages - self.expected)
@@ -190,10 +186,13 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
         raise InputError("beta must be positive")
     if not operationally_irrational(theta):
         raise InputError("theta is rational at working precision")
-    if N < 1 or M < 1:
-        raise InputError("N and M must be >= 1")
+    if N < 1 or M < 2:
+        raise InputError(f"need N >= 1 and M >= 2 (a z-score needs a spread), "
+                         f"got N = {N}, M = {M}")
     js = tuple(int(j) for j in js)
     gs = tuple(gs)
+    if not js or not gs:
+        raise InputError("need at least one frequency j and one test function g")
     if any(g.base != gen.base for g in gs):
         raise InputError("test function base differs from the generator")
 
@@ -229,11 +228,10 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
     eps_N = (1.0 / (2.0 * N * min(nonzero)) if nonzero else 0.0) + N ** -0.5
     tolerance = 5.0 / math.sqrt(M) + eps_N
 
-    spread = per_sample.std(axis=0, ddof=1) if M > 1 else np.full_like(averages, np.nan, dtype=float)
+    spread = per_sample.std(axis=0, ddof=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.abs(averages - expected) / (np.abs(spread) / math.sqrt(M))
 
     return JointEquidistResult(
-        theta=theta, beta=beta, js=js, g_labels=tuple(g.label for g in gs),
-        averages=averages, expected=expected, z_scores=z,
-        tolerance=tolerance, eps_N=eps_N, M=M, N=N)
+        js=js, g_labels=tuple(g.label for g in gs), averages=averages,
+        expected=expected, z_scores=z, tolerance=tolerance, eps_N=eps_N)

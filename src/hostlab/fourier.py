@@ -51,11 +51,6 @@ from .reports import derive_rng
 TAU = 2.0 * np.pi
 
 
-def e(x):
-    """e(x) = exp(2 pi i x); accepts scalars or arrays."""
-    return np.exp(2j * np.pi * np.asarray(x, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # Transform of an adic measure
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ exact ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,18 +50,6 @@ from .reports import derive_rng
 # ---------------------------------------------------------------------------
 # Weyl sums along an exact orbit
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class WeylAccumulator:
-    """W_N(m) at each checkpoint N for a frequency set M."""
-
-    freqs: tuple[int, ...]
-    checkpoints: tuple[int, ...]
-    values: np.ndarray = field(repr=False)      # (len(checkpoints), len(freqs))
-
-    def value(self, N: int, m: int) -> complex:
-        return complex(self.values[self.checkpoints.index(N), self.freqs.index(m)])
-
 
 _CHUNK = 2048                 # orbit steps per scan / phase block
 _MASK64 = (1 << 64) - 1
@@ -125,12 +113,14 @@ def _freqs_and_checkpoints(freqs, checkpoints):
     return freqs, checkpoints
 
 
-def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints) -> WeylAccumulator:
-    """Running character averages W_N(m) along the exact xb orbit of x.
+def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints) -> np.ndarray:
+    """Running character averages W_N(m) along the exact xb orbit of x, as a
+    complex (checkpoints x freqs) array: rows are the checkpoints in
+    ascending order, columns the frequencies in the order given.
 
     The point's retained precision must cover the longest checkpoint; running
     past the budget is a hard error, never a silent degradation.  Repeated
-    frequencies or checkpoints are refused; checkpoints come back ascending.
+    frequencies or checkpoints are refused.
     """
     freqs, checkpoints = _freqs_and_checkpoints(freqs, checkpoints)
     if b < 2:
@@ -140,10 +130,9 @@ def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints) -> WeylAccumulator:
         raise PrecisionError(
             f"point precision {x.precision} below budget {budget.L} "
             f"for N={checkpoints[-1]}")
-    vals = _orbit_character_sums(
+    return _orbit_character_sums(
         _orbit_readout_chunks(x.numerator, x.denominator, b, checkpoints[-1]),
         freqs, checkpoints)
-    return WeylAccumulator(freqs=freqs, checkpoints=checkpoints, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +146,6 @@ class CompareResult:
     cond_abs_avg: float      # average of per-step transform moduli; dominates
                              # |cond_avg| by the triangle inequality
     gap: float
-    N: int
-    k: int
-    m: int
 
 
 def _support_chain_ok(gen: MeasureGen, past: PastWord, digits: np.ndarray) -> bool:
@@ -208,7 +194,8 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     if gen.kind == MARKOV and not past.symbols:
         raise InputError("Markov conditioning requires a nonempty past")
 
-    sched = kronecker_schedule(a, b, N)
+    nprime, z = kronecker_schedule(a, b, N)
+    nprime, z = nprime[1:], z[1:]                 # steps n = 1..N
     budget = PrecisionBudget.plan(a, b, N)
     if x.precision < budget.L + k:
         raise PrecisionError(
@@ -219,7 +206,6 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     cache = _conditional_cache(gen, past, level)
 
     # the budget's 64 guard digits cover the J tail digits past n'(N)
-    nprime = sched.nprime_table[1:N + 1]
     J = math.ceil(53 / math.log2(a)) + 1
     count = int(nprime[-1]) + J
     xdig = _int_to_digits(x.numerator // _pow(a, x.precision - count), a, count).astype(np.int64)
@@ -233,7 +219,7 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     tails = np.zeros(len(xdig) - J + 1)           # t for every n' = 0..n'(N)
     for j in range(J, 0, -1):
         tails = (tails + xdig[j - 1:len(xdig) - J + j]) / a
-    xis = m * float(a) ** k * np.power(float(a), sched.z_table[1:N + 1])
+    xis = m * float(a) ** k * np.power(float(a), z)
     phases = m * (np.concatenate(blocks) * 2.0 ** -53) - xis * tails[nprime]
     phases -= np.floor(phases)                # before scaling by 2 pi
 
@@ -248,7 +234,7 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
 
     return CompareResult(orbit_avg=orbit_avg, cond_avg=cond_avg,
                          cond_abs_avg=float(np.abs(vals).mean()),
-                         gap=abs(orbit_avg - cond_avg), N=N, k=k, m=m)
+                         gap=abs(orbit_avg - cond_avg))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +341,6 @@ class HostExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class HostReport:
-    config: HostExperimentConfig
     negative_control: bool
     rows: list                       # (sample, m, N, re, im, abs)
     medians: dict                    # (m, N) -> median |W|
@@ -380,8 +365,9 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     """
     gen, b = cfg.gen, cfg.b
     a = gen.base
-    if cfg.samples < 1:
-        raise InputError("samples must be >= 1")
+    if cfg.samples < 1 or cfg.k < 0:
+        raise InputError(f"need samples >= 1 and k >= 0, got samples = {cfg.samples}, "
+                         f"k = {cfg.k}")
     if b < 2:
         raise InputError("b must be >= 2")
     if entropy(gen) <= 1e-12:
@@ -397,8 +383,7 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
         x = make_point_from_digits(a, digits)
         if cfg.k:
             x = mul_mod1(x, a ** cfg.k)
-        acc = weyl_sum(x, b, cfg.freqs, cfg.checkpoints)
-        return acc.values
+        return weyl_sum(x, b, cfg.freqs, cfg.checkpoints)
 
     all_vals = list(parallel_map(run_sample, range(cfg.samples)))
 
@@ -425,7 +410,7 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
         final_ok[m] = series[-1] < cfg.soft_final_threshold
 
     seed_keys = [[cfg.seed, i] for i in range(cfg.samples)]
-    return HostReport(config=cfg, negative_control=negative_control, rows=rows,
+    return HostReport(negative_control=negative_control, rows=rows,
                       medians=medians, percentile90=p90,
                       medians_decreasing=decreasing, final_median_ok=final_ok,
                       seed_keys=seed_keys, budget=budget)

@@ -269,13 +269,13 @@ def orbit_character_sums(num: int, mod: int, b: int, freqs, checkpoints):
     return out
 
 
-def cylinder_phases(x, b: int, k: int, m: int, sched, N: int) -> np.ndarray:
+def cylinder_phases(x, b: int, k: int, m: int, nprime, N: int) -> np.ndarray:
     """frac(m a^k b^n K_n / a^(n')) for n = 1..N, K_n the integer of the first
     n' digits of x, in exact integer arithmetic with one big division per
     step; den and the digit divisor are kept incrementally since n' is
     nondecreasing."""
     a = x.base
-    np_max = sched.nprime(N)
+    np_max = int(nprime[N])
     num_top = x.numerator // a ** (x.precision - np_max) if np_max else 0
     mod_max = a ** max(np_max, 1)
     phases = np.empty(N, dtype=np.float64)
@@ -286,7 +286,7 @@ def cylinder_phases(x, b: int, k: int, m: int, sched, N: int) -> np.ndarray:
     npr_prev = 0
     for n in range(1, N + 1):
         bn = (bn * b) % mod_max
-        npr = sched.nprime(n)
+        npr = int(nprime[n])
         for _ in range(npr - npr_prev):
             den *= a
             drop //= a
@@ -386,27 +386,28 @@ def compare_reference(gen, past, x, b: int, k: int, m: int, N: int, level: int):
     """(orbit_avg, cond_avg, cond_abs_avg, gap) of the orbit-versus-conditional
     comparison by per-step routes: the orbit average summed step by step, the
     conditioning state and the exact cylinder phase found for each n."""
-    from hostlab.adic import digits_of, kronecker_schedule, mul_mod1
+    from hostlab.adic import _int_to_digits, kronecker_schedule, mul_mod1
     from hostlab.fourier import ft_adic_many
     from hostlab.measures import MARKOV, PastWord, conditional_on_past
 
     a = gen.base
-    sched = kronecker_schedule(a, b, N)
-    xdig = digits_of(x, max(sched.nprime(N), 1))
+    nprime, z = kronecker_schedule(a, b, N)
+    count = max(int(nprime[N]), 1)
+    xdig = _int_to_digits(x.numerator // a ** (x.precision - count), a, count).tolist()
     y = mul_mod1(x, a ** k)
     orbit_avg = complex(orbit_character_sums(y.numerator, y.denominator, b,
                                              (m,), (N,))[0, 0])
     state0 = past.symbols[0] if gen.kind == MARKOV else 0
-    states = [xdig[sched.nprime(n) - 1] if sched.nprime(n) >= 1 else state0
+    states = [xdig[nprime[n] - 1] if nprime[n] >= 1 else state0
               for n in range(1, N + 1)]
-    xis = m * float(a) ** k * np.power(float(a), sched.z_table[1:N + 1])
+    xis = m * float(a) ** k * np.power(float(a), z[1:])
     vals = np.empty(N, dtype=np.complex128)
     for s in set(states):
         mu = conditional_on_past(gen, PastWord(a, (s,)) if gen.kind == MARKOV
                                  else past, level)
         idx = np.flatnonzero(np.asarray(states) == s)
         vals[idx] = ft_adic_many(mu, xis[idx])
-    vals *= np.exp(TAU * 1j * cylinder_phases(x, b, k, m, sched, N))
+    vals *= np.exp(TAU * 1j * cylinder_phases(x, b, k, m, nprime, N))
     cond_avg = complex(vals.mean())
     return orbit_avg, cond_avg, float(np.abs(vals).mean()), abs(orbit_avg - cond_avg)
 

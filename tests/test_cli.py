@@ -575,3 +575,35 @@ def test_config_file_matches_flags(sub, tmp_path):
         assert read_bytes(tmp_path / "flags" / name) == read_bytes(tmp_path / "file" / name), name
     summary = json.loads((tmp_path / "file" / f"{sub.replace('-', '_')}_summary.json").read_text())
     assert summary["config"] == values
+
+
+TIME_CHANGE_SMALL = ["time-change", "--gen", "uniform:2", "--theta", "log:2,3", "--N", "500"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*TIME_CHANGE_SMALL, "--M", "1"], "M >= 2"),
+    ([*TIME_CHANGE_SMALL, "--M", "2", "--js", ""], "at least one frequency"),
+    ([*TIME_CHANGE_SMALL, "--M", "2", "--js", ","], "at least one frequency"),
+    (["martingale", "--gen", "uniform:2", "--N", "100", "--trials", "2", "--window", "5"],
+     "--window 5 needs --window-func parity"),
+    (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100", "--samples", "1",
+      "--k", "-1"], "k = -1"),
+], ids=["time-change-M1", "time-change-js-empty", "time-change-js-comma",
+        "martingale-window-sign0", "weyl-k-negative"])
+def test_unusable_option_values_are_config_errors(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not list(out.glob("*.csv"))
+
+
+def test_undeclared_config_file_keys_are_config_errors(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps({"smaples": 3, "N-rational": 10,
+                                                   "N_rational": 3000}))
+    argv = ["controls", "--mode", "rational", "--seed", "1",
+            "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'smaples', 'N-rational'" in err, err
+    assert not (tmp_path / "out" / "controls.csv").exists()

@@ -100,6 +100,14 @@ def test_time_change_rejects_rational_theta():
         time_change_joint_experiment(LOG23, -1.0, gen, [1], [ones], 100, 2, seed=1)
 
 
+def test_time_change_needs_two_samples_and_nonempty_sets():
+    gen = markov(MARKOV_P)
+    ones = DigitFunction(base=2, window=1, table=np.ones(2, complex), label="one")
+    for js, gs, M in (([1], [ones], 1), ([], [ones], 2), ([1], [], 2)):
+        with pytest.raises(InputError):
+            time_change_joint_experiment(LOG23, 1.0, gen, js, gs, 100, M, seed=1)
+
+
 def test_irrationality_gate():
     assert operationally_irrational(LOG23)
     assert not operationally_irrational(3.0 / 7.0)

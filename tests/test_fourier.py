@@ -15,7 +15,6 @@ from hostlab.fourier import (
     c1_certificate,
     c1_default_battery,
     default_measure_battery,
-    e,
     ft_adic,
     ft_adic_many,
     quadratic_bump,
@@ -423,8 +422,3 @@ def test_smoothing_certificate_empty_grids_and_bad_values():
                        ([1], [2.0], [0.5, 0.0]), ([1], [2.0], [-0.5])):
         with pytest.raises(InputError):
             smoothing_certificate(measures, ms, bs, rs)
-
-
-def test_e_helper():
-    assert abs(e(0.5) + 1.0) < 1e-15
-    assert np.allclose(e([0.0, 0.25]), [1.0, 1j])
