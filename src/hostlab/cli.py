@@ -385,10 +385,14 @@ def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[
     rows = []
     for ji, j in enumerate(res.js):
         for gi, label in enumerate(res.g_labels):
+            z = float(res.z_scores[ji, gi])
+            if math.isnan(z):
+                z = ""
+                warnings.append(f"z-score undefined at (j={j}, g={label}): "
+                                f"the {opts.get('M')} samples have no spread")
             rows.append((j, label,
                          float(res.averages[ji, gi].real),
-                         float(res.averages[ji, gi].imag),
-                         float(res.z_scores[ji, gi])))
+                         float(res.averages[ji, gi].imag), z))
     reports.write_csv(out_dir / "time_change.csv",
                       ["j", "g", "re", "im", "z_score"], rows)
     worst = float(res.deviations().max())
@@ -416,8 +420,7 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
         for trial in range(opts.get("pairs")):
             past = measures.sample_past(gen, int(rng.integers(1, 7)), rng)
             wlen = int(rng.integers(1, 4))
-            start = past.symbols[0] if gen.kind == measures.MARKOV else None
-            digits = measures.sample_digits(gen, wlen, rng, start=start)
+            digits = measures.sample_digits(gen, wlen, rng, start=past.symbols[0])
             N = wlen + int(rng.integers(2, 6))
             diff = measures.equivariance_gap(gen, past,
                                              measures.word(gen.base, digits), N)
@@ -443,7 +446,7 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int
         rep = pipeline.host_experiment(cfg)
         # transform of realize(gen, 20), from its product structure alone
         mu_hat = complex(fourier._ft_structured(
-            gen.base, 20, ("product", gen.p, 20), [1.0])[0])
+            gen.base, 20, ("product", gen.pi, 20), [1.0])[0])
         final_N = cfg.checkpoints[-1]
         ws = {(r[0], r[1], r[2]): complex(r[3], r[4]) for r in rep.rows}
         for s in range(cfg.samples):

@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .adic import _floor_multiples
-from .errors import InputError
-from .measures import BERNOULLI, MARKOV, MeasureGen, realize, sample_digits
+from .errors import InputError, ResourceError
+from .measures import MAX_WEIGHT_ENTRIES, MeasureGen, realize, sample_digits
 from .reports import derive_rng
 
 
@@ -52,6 +52,9 @@ class DigitFunction:
 
 def parity_window(base: int, window: int) -> DigitFunction:
     """+-1 according to the parity of the digit sum over the window."""
+    if base ** window > MAX_WEIGHT_ENTRIES:
+        raise ResourceError(f"a parity table of {base}**{window} entries "
+                            f"exceeds the weight-vector budget")
     idx = np.arange(base ** window)
     total = np.zeros_like(idx)
     rest = idx.copy()
@@ -71,17 +74,11 @@ def first_digit_sign(base: int) -> DigitFunction:
 
 
 def _conditional_table(gen: MeasureGen, f: DigitFunction) -> np.ndarray:
-    """E[f(next window) | current state], in closed form.
-
-    For i.i.d. digits this is the constant mean; for a chain it is the k-step
-    transition sum, contracted one window position at a time.
+    """E[f(next window) | current state], in closed form: the k-step
+    transition sum, contracted one window position at a time.  When the rows
+    of P are equal (i.i.d. digits) every entry is the mean of f.
     """
     a, k = gen.base, f.window
-    if gen.kind == BERNOULLI:
-        vals = f.table.copy()
-        for _ in range(k):
-            vals = vals.reshape(-1, a) @ gen.p
-        return np.full(a, vals.item())
     vals = f.table.copy()
     for _ in range(k - 1):
         flat = vals.reshape(-1, a)
@@ -105,8 +102,6 @@ def martingale_avg_experiment(gen: MeasureGen, f: DigitFunction,
     no inner simulation is involved.  Trial t samples its digits from
     derive_rng(seed, t).
     """
-    if gen.kind not in (BERNOULLI, MARKOV):
-        raise InputError("symbolic process requires a bernoulli or markov generator")
     if f.base != gen.base:
         raise InputError("window function and process bases differ")
     if N < 1 or trials < 1:
@@ -158,7 +153,7 @@ class JointEquidistResult:
     g_labels: tuple[str, ...]
     averages: np.ndarray          # (len(js), len(gs)) complex
     expected: np.ndarray
-    z_scores: np.ndarray
+    z_scores: np.ndarray          # NaN where the samples have no spread
     tolerance: float
     eps_N: float
 
@@ -228,9 +223,10 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
     eps_N = (1.0 / (2.0 * N * min(nonzero)) if nonzero else 0.0) + N ** -0.5
     tolerance = 5.0 / math.sqrt(M) + eps_N
 
-    spread = per_sample.std(axis=0, ddof=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.abs(averages - expected) / (np.abs(spread) / math.sqrt(M))
+    # a cell whose samples all agree has no z-score: NaN marks it
+    se = np.abs(per_sample.std(axis=0, ddof=1)) / math.sqrt(M)
+    z = np.full(se.shape, np.nan)
+    np.divide(np.abs(averages - expected), se, out=z, where=se > 0)
 
     return JointEquidistResult(
         js=js, g_labels=tuple(g.label for g in gs), averages=averages,

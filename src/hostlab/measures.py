@@ -1,13 +1,15 @@
 """Symbolic measure generators and level-n adic measures.
 
-A generator (Bernoulli digit process, stationary Markov chain, or a
-self-similar digit-set measure with equal contraction ratios) produces:
-level-n weight vectors, conditional measures given a finite past, samples,
-entropy, and correlation integrals.  A level-n measure assigns weight w_k to
-the half-open interval [k/a^n, (k+1)/a^n) and is read as piecewise uniform.
-Its correlation integral is the lag sum sum_D c_D R(D) T(r/h - D) over the weight
-autocorrelation R = w * w that `fourier.scaled_sq_integral` also sums; the guard
-r >= 16 h makes that one-sided kernel exact (see `correlation_integral`).
+Every generator is a stationary digit chain (P, pi).  A Bernoulli digit
+process is the chain whose rows all equal pi; a self-similar digit-set
+measure with equal contraction ratios is the Bernoulli process with zeros off
+its digits.  A generator produces: level-n weight vectors, conditional
+measures given a finite past, samples, entropy, and correlation integrals.
+A level-n measure assigns weight w_k to the half-open interval
+[k/a^n, (k+1)/a^n) and is read as piecewise uniform.  Its correlation
+integral is the lag sum sum_D c_D R(D) T(r/h - D) over the weight
+autocorrelation R = w * w that `fourier.scaled_sq_integral` also sums; the
+guard r >= 16 h makes that one-sided kernel exact (see `correlation_integral`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ _PROB_TOL = 1e-12
 
 BERNOULLI = "bernoulli"
 MARKOV = "markov"
-IFS_DIGITS = "ifs_digits"
 
 
 def _freeze(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -38,22 +39,17 @@ def _freeze(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasureGen:
-    """Symbolic generator of a shift-invariant digit measure.
+    """Symbolic generator of a shift-invariant digit measure: the stationary
+    chain with stochastic matrix P and pi P = pi.
 
-    kind 'bernoulli': i.i.d. digits with probability vector p (length a).
-    kind 'markov':    stationary chain with stochastic matrix P and pi P = pi;
-                      `steps` is its `StepTable` for `sample_digits`.
-    kind 'ifs_digits': digits restricted to a subset D with weights on D
-                       (equal-ratio self-similar measure); stored as the
-                       full-length vector p with zeros off D.
+    kind 'bernoulli': i.i.d. digits with law pi; every row of P is pi.
+    kind 'markov':    `steps` is the chain's `StepTable` for `sample_digits`.
     """
 
     kind: str
     base: int
-    p: np.ndarray | None = None
-    P: np.ndarray | None = None
-    pi: np.ndarray | None = None
-    label: str = ""
+    P: np.ndarray
+    pi: np.ndarray
     steps: StepTable | None = field(default=None, repr=False)
 
 
@@ -81,13 +77,13 @@ def bernoulli(base: int, p) -> MeasureGen:
         raise InputError("probability vector length must equal base >= 2")
     if not np.all(np.isfinite(p) & (p >= 0)) or abs(p.sum() - 1.0) > _PROB_TOL:
         raise InputError("probabilities must be finite, >= 0 and sum to 1 within 1e-12")
-    return MeasureGen(kind=BERNOULLI, base=base, p=_freeze(p),
-                      label=f"bernoulli({base})")
+    _check_level(base, 2)       # P, a rows of pi, is as large as the level-2 weights
+    return MeasureGen(kind=BERNOULLI, base=base, P=_freeze(np.tile(p, (base, 1))),
+                      pi=_freeze(p))
 
 
 def uniform(base: int) -> MeasureGen:
-    g = bernoulli(base, np.full(base, 1.0 / base))
-    return MeasureGen(kind=BERNOULLI, base=base, p=g.p, label=f"uniform({base})")
+    return bernoulli(base, np.full(base, 1.0 / base))
 
 
 def markov(P, pi=None) -> MeasureGen:
@@ -110,7 +106,7 @@ def markov(P, pi=None) -> MeasureGen:
         raise InputError("pi is not stationary for P (pi P != pi within 1e-12)")
     pi = np.clip(pi, 0.0, None)
     return MeasureGen(kind=MARKOV, base=a, P=_freeze(P), pi=_freeze(pi),
-                      label=f"markov({a})", steps=_step_table(P))
+                      steps=_step_table(P))
 
 
 _SCAN_ENTRIES = 1 << 15   # scan-table entries per chunk: codes, or (chunk, a) rows
@@ -140,6 +136,8 @@ def _step_table(P: np.ndarray) -> StepTable:
 
 
 def ifs_digits(base: int, digits, weights=None) -> MeasureGen:
+    """Equal-ratio self-similar measure on the digit set: the Bernoulli
+    process with the weights on its digits and zeros off them."""
     digits = tuple(sorted(int(d) for d in digits))
     if not digits or len(set(digits)) != len(digits):
         raise InputError("digit set must be nonempty without repeats")
@@ -147,14 +145,11 @@ def ifs_digits(base: int, digits, weights=None) -> MeasureGen:
         raise InputError("digit set must lie in [0, base)")
     if weights is None:
         weights = np.full(len(digits), 1.0 / len(digits))
-    weights = np.asarray(weights, dtype=np.float64)
-    if (len(weights) != len(digits) or not np.all(np.isfinite(weights) & (weights >= 0))
-            or abs(weights.sum() - 1.0) > _PROB_TOL):
-        raise InputError("weights must match the digit set, be finite and sum to 1")
+    if len(weights) != len(digits):
+        raise InputError("weights must match the digit set")
     p = np.zeros(base)
     p[list(digits)] = weights
-    return MeasureGen(kind=IFS_DIGITS, base=base, p=_freeze(p),
-                      label=f"ifs({base};{','.join(map(str, digits))})")
+    return bernoulli(base, p)
 
 
 def cantor3() -> MeasureGen:
@@ -163,15 +158,9 @@ def cantor3() -> MeasureGen:
 
 
 def entropy(gen: MeasureGen) -> float:
-    """Shannon entropy in nats; 0*log 0 := 0."""
-    def h(v):
-        v = v[v > 0]
-        return float(-(v * np.log(v)).sum())
-
-    if gen.kind in (BERNOULLI, IFS_DIGITS):
-        return h(gen.p)
-    rows = np.array([h(row) for row in gen.P])
-    return float(gen.pi @ rows)
+    """Entropy rate in nats, sum_s pi_s H(P_s); 0*log 0 := 0."""
+    rows = [row[row > 0] for row in gen.P]
+    return float(gen.pi @ np.array([-(v * np.log(v)).sum() for v in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,41 +256,32 @@ def _check_level(a: int, n: int) -> None:
 
 
 def _chain_measure(gen: MeasureGen, init: np.ndarray, n: int) -> AdicMeasure:
-    """Level-n weights of the chain started from the digit law `init`."""
+    """Level-n weights of the chain started from the digit law `init`.  When
+    the rows of P all equal pi, each step is the outer product with pi."""
     a = gen.base
     _check_level(a, n)
+    iid = gen.kind == BERNOULLI
     w = init.copy()
     for _ in range(n - 1):
-        w = (w.reshape(-1, a)[:, :, None] * gen.P[None, :, :]).reshape(-1)
+        w = (w[:, None] * gen.pi if iid else w.reshape(-1, a)[:, :, None] * gen.P).ravel()
     return AdicMeasure(base=a, level=n, weights=w,
-                       structure=("chain", init, gen.P, n))
+                       structure=("product", gen.pi, n) if iid else ("chain", init, gen.P, n))
 
 
 def realize(gen: MeasureGen, n: int) -> AdicMeasure:
     """Level-n weights: each digit word gets its generator cylinder probability."""
-    if gen.kind == MARKOV:
-        return _chain_measure(gen, gen.pi, n)
-    _check_level(gen.base, n)
-    w = gen.p.copy()
-    for _ in range(n - 1):
-        w = (w[:, None] * gen.p[None, :]).ravel()
-    return AdicMeasure(base=gen.base, level=n, weights=w,
-                       structure=("product", gen.p, n))
+    return _chain_measure(gen, gen.pi, n)
 
 
 def conditional_on_past(gen: MeasureGen, past: PastWord, n: int) -> AdicMeasure:
-    """Level-n conditional measure given the finite past.
-
-    Bernoulli and digit-set generators are past-independent; a Markov chain
-    depends on the past only through its most recent symbol.
-    """
+    """Level-n conditional measure given the finite past: the chain started
+    from the row of P at the most recent symbol.  An i.i.d. past may be
+    empty, as every row is pi."""
     if past.base != gen.base:
         raise InputError("past and generator bases differ")
-    if gen.kind in (BERNOULLI, IFS_DIGITS):
-        return realize(gen, n)
-    if not past.symbols:
+    if gen.kind == MARKOV and not past.symbols:
         raise InputError("Markov conditioning requires a nonempty past")
-    return _chain_measure(gen, gen.P[past.symbols[0]], n)
+    return _chain_measure(gen, gen.P[past.symbols[0]] if past.symbols else gen.pi, n)
 
 
 def cylinder_condition(mu: AdicMeasure, w: CylinderWord) -> AdicMeasure:
@@ -414,8 +394,8 @@ def _scan(x: np.ndarray, compose) -> None:
 
 def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
                   start: int | None = None) -> np.ndarray:
-    """n digits of the stationary process; `start` conditions a Markov chain
-    on its previous symbol.
+    """n digits of the stationary process; `start`, the previous symbol,
+    conditions a Markov chain and is checked, then ignored, for i.i.d. digits.
 
     Markov digits are exact: with the uniforms drawn before the start state
     (drawn from pi and clamped to its last positive entry, as each step is
@@ -428,10 +408,10 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
     if n < 1:
         raise InputError("n must be >= 1")
     a = gen.base
-    if gen.kind in (BERNOULLI, IFS_DIGITS):
-        return rng.choice(a, size=n, p=gen.p / gen.p.sum())
     if start is not None and not 0 <= start < a:
         raise InputError(f"start state {start} outside 0..{a - 1}")
+    if gen.kind == BERNOULLI:
+        return rng.choice(a, size=n, p=gen.pi / gen.pi.sum())
     us = rng.random(n)
     if start is None:
         start = min(np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right"),

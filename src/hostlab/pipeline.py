@@ -148,13 +148,6 @@ class CompareResult:
     gap: float
 
 
-def _support_chain_ok(gen: MeasureGen, past: PastWord, digits: np.ndarray) -> bool:
-    if gen.kind == MARKOV:
-        prev = np.concatenate(([past.symbols[0]], digits[:-1]))
-        return bool(np.all(gen.P[prev, digits] > 0.0))
-    return bool(np.all(gen.p[digits] > 0.0))
-
-
 def _conditional_cache(gen: MeasureGen, past: PastWord, level: int):
     """Level-`level` conditional measures keyed by the relevant state."""
     if gen.kind == MARKOV:
@@ -209,7 +202,11 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     J = math.ceil(53 / math.log2(a)) + 1
     count = int(nprime[-1]) + J
     xdig = _int_to_digits(x.numerator // _pow(a, x.precision - count), a, count).astype(np.int64)
-    if not _support_chain_ok(gen, past, xdig[:nprime[-1]]):
+    # each digit of the point's path has positive probability after the one
+    # before it; an empty (i.i.d.) past starts from row 0, equal to every row
+    state0 = past.symbols[0] if past.symbols else 0
+    path = xdig[:nprime[-1]]
+    if not np.all(gen.P[np.concatenate(([state0], path[:-1])), path] > 0.0):
         raise NullCylinderError("point digits leave the generator's support")
 
     y = mul_mod1(x, a ** k)
@@ -223,7 +220,6 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     phases = m * (np.concatenate(blocks) * 2.0 ** -53) - xis * tails[nprime]
     phases -= np.floor(phases)                # before scaling by 2 pi
 
-    state0 = past.symbols[0] if gen.kind == MARKOV else 0
     states = np.where(nprime >= 1, xdig[np.maximum(nprime - 1, 0)], state0)
     vals = np.empty(N, dtype=np.complex128)
     for s in np.unique(states):

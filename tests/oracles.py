@@ -412,6 +412,14 @@ def compare_reference(gen, past, x, b: int, k: int, m: int, N: int, level: int):
     return orbit_avg, cond_avg, float(np.abs(vals).mean()), abs(orbit_avg - cond_avg)
 
 
+def product_weights(p, n: int) -> np.ndarray:
+    """Level-n weights of i.i.d. digits with law p: the n-fold outer product."""
+    w = np.asarray(p, dtype=np.float64)
+    for _ in range(n - 1):
+        w = np.outer(w, p).ravel()
+    return w
+
+
 def sample_points(mu, count: int, rng: np.random.Generator) -> np.ndarray:
     """count points drawn from the piecewise-uniform measure."""
     p = mu.weights / mu.weights.sum()

@@ -213,11 +213,11 @@ def test_criterion_7_martingale_rms():
     for gen, seed, f in configs:
         vals = martingale_avg_experiment(gen, f, N=10_000, trials=100, seed=seed)
         rms = float(np.sqrt(np.mean(vals ** 2)))
-        assert rms <= 3.0 * f.sup * 1e-2, (gen.label, f.label, rms)
+        assert rms <= 3.0 * f.sup * 1e-2, (gen.kind, f.label, rms)
         vals4 = martingale_avg_experiment(gen, f, N=40_000, trials=100, seed=seed)
         rms4 = float(np.sqrt(np.mean(vals4 ** 2)))
         ratio = rms4 / rms
-        assert 0.3 <= ratio <= 0.75, (gen.label, f.label, ratio)
+        assert 0.3 <= ratio <= 0.75, (gen.kind, f.label, ratio)
         ratios.append(round(ratio, 3))
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

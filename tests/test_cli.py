@@ -189,6 +189,41 @@ def test_time_change_run(tmp_path):
     assert len(lines) == 2 + 2
 
 
+TC_FLAT = ["time-change", "--gen", "uniform:2", "--theta", "log:2,3", "--N", "500", "--M", "4",
+           "--js", "0,1", "--gfuncs", "e0w1,ind0", "--seed", "1"]
+
+
+def test_time_change_cell_without_spread_has_an_empty_z_score(tmp_path, capsys):
+    # e0w1 is the constant 1: its samples all agree, so it has no z-score
+    assert cli.main(TC_FLAT + ["--out", str(tmp_path)]) == 0
+    text = (tmp_path / "time_change.csv").read_text()
+    assert "nan" not in text and "inf" not in text
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    assert [(r[0], r[1], r[4] == "") for r in rows] == [
+        ("0", "e0w1", True), ("0", "ind0", False), ("1", "e0w1", True), ("1", "ind0", False)]
+    summary = json.loads((tmp_path / "time_change_summary.json").read_text())
+    assert summary["warnings"] == [
+        f"z-score undefined at (j={j}, g=e0w1): the 4 samples have no spread" for j in (0, 1)]
+    assert "WARNING: z-score undefined at (j=0, g=e0w1)" in capsys.readouterr().err
+    assert cli.main(TC_FLAT + ["--strict", "--out", str(tmp_path / "strict")]) == 1
+
+
+def test_parity_window_over_budget_exits_3(tmp_path, capsys):
+    # refused before allocation: a table of 3**45 entries could not be built
+    code = cli.main(["martingale", "--gen", "uniform:3", "--window", "45", "--window-func",
+                     "parity", "--N", "100", "--trials", "2", "--seed", "1", "--out", str(tmp_path)])
+    assert code == 3
+    assert "weight-vector budget" in capsys.readouterr().err
+
+
+def test_martingale_on_cantor3_parity_is_exactly_zero(tmp_path):
+    code = cli.main(["martingale", "--gen", "cantor3", "--window", "3", "--window-func",
+                     "parity", "--N", "500", "--trials", "3", "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "martingale.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["0.0"] * 3
+
+
 def test_controls_rational_only(tmp_path):
     code = cli.main(["controls", "--mode", "rational", "--N-rational", "3000",
                      "--seed", "23", "--out", str(tmp_path)])

@@ -6,6 +6,7 @@ import pytest
 from hostlab.errors import InputError
 from hostlab.ergodic import (
     DigitFunction,
+    _conditional_table,
     character_on_digits,
     first_digit_indicator,
     first_digit_sign,
@@ -51,9 +52,18 @@ def test_sqrt_law_when_n_quadruples():
     assert 1 / 3 <= ratio <= 0.75
 
 
-def test_process_rejects_ifs_kind():
-    with pytest.raises(InputError, match="requires a bernoulli or markov generator"):
-        martingale_avg_experiment(cantor3(), first_digit_sign(3), N=10, trials=1, seed=1)
+def test_martingale_on_a_digit_set_measure():
+    # digit sums over {0, 2} are even: f and its conditional mean are both 1
+    vals = martingale_avg_experiment(cantor3(), parity_window(3, 3), N=500, trials=3, seed=1)
+    assert np.array_equal(vals, np.zeros(3))
+
+
+def test_iid_conditional_table_is_the_mean():
+    for gen in (bernoulli(3, [0.2, 0.3, 0.5]), uniform(5), cantor3()):
+        for f in [first_digit_sign(gen.base)] + [parity_window(gen.base, k) for k in (1, 2, 4)]:
+            cond = _conditional_table(gen, f)
+            assert np.all(cond == cond[0])
+            assert abs(cond[0] - f.integral(gen).real) < 1e-15
 
 
 def test_digit_function_keeps_real_tables_real():
@@ -89,6 +99,17 @@ def test_time_change_total_mass_row():
                                        N=500, M=4, seed=3)
     assert abs(res.averages[0, 0] - 1.0) < 1e-12
     assert abs(res.expected[0, 0] - 1.0) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_time_change_z_score_is_nan_only_where_samples_agree():
+    # the constant g has no spread, so no z-score; no divide warning either
+    gen = markov(MARKOV_P)
+    ones = DigitFunction(base=2, window=1, table=np.ones(2, complex), label="one")
+    res = time_change_joint_experiment(LOG23, 1.0, gen, js=[0, 1],
+                                       gs=[ones, first_digit_indicator(2)], N=500, M=4, seed=3)
+    assert np.isnan(res.z_scores[:, 0]).all()
+    assert np.isfinite(res.z_scores[:, 1]).all()
 
 
 def test_time_change_rejects_rational_theta():

@@ -128,7 +128,7 @@ def test_structured_transform_needs_no_weights():
     # the controls' invariant-measure transform: same arithmetic, no 2^20 weights
     gen = bernoulli(2, [0.25, 0.75])
     xis = np.array([1.0, -3.5])
-    assert np.array_equal(_ft_structured(2, 20, ("product", gen.p, 20), xis),
+    assert np.array_equal(_ft_structured(2, 20, ("product", gen.pi, 20), xis),
                           ft_adic_many(realize(gen, 20), xis))
 
 

@@ -27,7 +27,7 @@ from hostlab.measures import (
     uniform,
     word,
 )
-from oracles import brute_correlation, coarsen, markov_digits, refine
+from oracles import brute_correlation, coarsen, markov_digits, product_weights, refine
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 
@@ -105,6 +105,51 @@ def test_shift_push_examples():
     assert np.array_equal(pushed.weights, [0.0, 1.0])
     with pytest.raises(InputError):
         shift_push(point, 3)
+
+
+IID_GENS = [uniform(3), bernoulli(2, [0.3, 0.7]), cantor3()]
+
+
+@pytest.mark.parametrize("gen", IID_GENS, ids=["uniform3", "bernoulli", "cantor3"])
+def test_iid_realize_is_the_outer_product_bit_for_bit(gen):
+    for n in (1, 2, 5, 9):
+        assert np.array_equal(realize(gen, n).weights, product_weights(gen.pi, n))
+
+
+@pytest.mark.parametrize("gen", IID_GENS, ids=["uniform3", "bernoulli", "cantor3"])
+def test_iid_conditional_ignores_the_past_bit_for_bit(gen):
+    want = realize(gen, 6).weights
+    for symbols in [()] + [(s,) for s in range(gen.base)]:
+        mu = conditional_on_past(gen, PastWord(gen.base, symbols), 6)
+        assert np.array_equal(mu.weights, want)
+        assert mu.structure[0] == "product"
+
+
+def test_every_generator_is_a_chain():
+    # an i.i.d. law is the chain whose rows all equal pi; a digit set is
+    # the Bernoulli process with zeros off its digits
+    for gen in IID_GENS + [ifs_digits(4, (1, 3), [0.25, 0.75])]:
+        assert gen.kind == "bernoulli"
+        assert np.array_equal(gen.P, np.tile(gen.pi, (gen.base, 1)))
+    assert np.array_equal(cantor3().pi, [0.5, 0.0, 0.5])
+    assert np.array_equal(ifs_digits(4, (1, 3), [0.25, 0.75]).pi, [0.0, 0.25, 0.0, 0.75])
+    gen = markov(MARKOV_P)
+    assert gen.kind == "markov" and np.array_equal(gen.P, MARKOV_P)
+
+
+def test_iid_base_over_budget_is_resource_error():
+    # P holds a rows of pi, so its a**2 entries count against the weight budget
+    with pytest.raises(ResourceError, match="weight-vector budget"):
+        uniform(4097)
+
+
+def test_sample_digits_checks_start_for_every_kind():
+    for gen in (uniform(2), cantor3(), markov(MARKOV_P)):
+        with pytest.raises(InputError, match="start state"):
+            sample_digits(gen, 5, np.random.default_rng(1), start=gen.base)
+    # i.i.d. digits ignore a valid start
+    a = sample_digits(cantor3(), 50, np.random.default_rng(2), start=2)
+    assert np.array_equal(a, sample_digits(cantor3(), 50, np.random.default_rng(2)))
 
 
 def test_invariance_under_shift():

@@ -170,6 +170,26 @@ def test_compare_out_of_support_point():
         orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=1, m=1, N=500)
 
 
+def test_compare_support_check_reads_the_digits_before_n_prime():
+    # n'(N) is 0 at N = 1, 1 at N = 2, 3 and 2 at N = 4 (a = 3, b = 2):
+    # digit 1 at the second place leaves the support once n'(N) reaches it
+    gen = cantor3()
+    x = make_point_from_digits(3, [0, 1] + [2] * 300)
+    for N in (1, 3):
+        orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=0, m=1, N=N)
+    with pytest.raises(NullCylinderError):
+        orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=0, m=1, N=4)
+
+
+def test_compare_iid_empty_past_matches_any_past():
+    gen = cantor3()
+    x = make_point_from_digits(3, sample_digits(gen, 400, np.random.default_rng(5)))
+    want = orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=1, m=1, N=60)
+    for symbols in ((), (2,)):
+        assert orbit_vs_conditional_compare(gen, PastWord(3, symbols), x,
+                                            b=2, k=1, m=1, N=60) == want
+
+
 def test_compare_cantor_gap_small():
     gen = cantor3()
     rng = np.random.default_rng(12)
