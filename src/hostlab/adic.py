@@ -147,8 +147,9 @@ def make_point_from_digits(base: int, digits) -> UnitPoint:
     are packed k to a uint64 word, then adjacent words are joined level by
     level through the cached powers of the base, in near-linear time."""
     d = np.asarray(digits)
-    if d.ndim != 1 or not d.size or not (d.dtype.kind in "iu" or d.dtype.kind == "f"
-                                         and np.isfinite(d).all() and (d == np.round(d)).all()):
+    integral = np.issubdtype(d.dtype, np.integer) or np.issubdtype(d.dtype, np.floating) and (
+        np.isfinite(d).all() and (d == np.round(d)).all())
+    if d.ndim != 1 or not d.size or not integral:
         raise InputError(f"digit word must be a nonempty 1-d sequence of integers, got {d.dtype}")
     if d.min() < 0 or d.max() >= base:
         raise InputError(f"digits out of range [0, {base}): {d.min()}..{d.max()}")
@@ -255,6 +256,14 @@ def multiplicatively_dependent(a: int, b: int) -> bool:
 ALPHA_BITS = 128      # alpha is carried as floor(alpha * 2^ALPHA_BITS)
 
 
+@lru_cache(maxsize=None)
+def _log_ratio(a: int, b: int):
+    """log b / log a in mpmath at ALPHA_BITS + 48 bits, computed once per (a, b)."""
+    import mpmath
+    with mpmath.workprec(ALPHA_BITS + 48):
+        return mpmath.log(b) / mpmath.log(a)
+
+
 def kronecker_schedule(a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(n', z) for n = 0..N: n'(n) = floor(alpha*n) (int64) and
     z(n) = alpha*n mod 1 (float64); every floor is certified to 2^-100.
@@ -279,8 +288,7 @@ def kronecker_schedule(a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
 
     import mpmath
     with mpmath.workprec(ALPHA_BITS + 48):
-        alpha_mp = mpmath.log(b) / mpmath.log(a)
-        scaled = int(mpmath.floor(alpha_mp * mpmath.mpf(2) ** ALPHA_BITS))
+        scaled = int(mpmath.floor(_log_ratio(a, b) * mpmath.mpf(2) ** ALPHA_BITS))
     one = 1 << ALPHA_BITS
     whole, rem = _floor_multiples(scaled, one, N)     # rem's 32-bit limbs
     top = rem[-1] << 32 | rem[-2]                     # rem's leading 64 bits

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -406,6 +407,13 @@ def run_time_change(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[
     }
 
 
+def _split_gens(spec: str, names) -> list[str]:
+    """A --gens list split only at a comma before one of `names`, cantor3 or a
+    grammar head such as uniform: or ifs:, so bernoulli:0.3,0.7 stays one spec."""
+    alias = "|".join((*names, "cantor3"))
+    return re.split(rf",(?=\s*(?:(?:{alias})\s*(?:,|$)|(?:uniform|bernoulli|markov|ifs):))", spec)
+
+
 def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
     named = {
         "bernoulli": measures.bernoulli(2, [0.3, 0.7]),
@@ -414,7 +422,7 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
     }
     rows = []
     all_ok = True
-    for gi, name in enumerate(opts.get("gens").split(",")):
+    for gi, name in enumerate(_split_gens(opts.get("gens"), named)):
         gen = named.get(name.strip()) or parse_generator(name.strip())
         rng = reports.derive_rng(opts.get("seed"), gi)
         for trial in range(opts.get("pairs")):
@@ -444,9 +452,8 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int
             gen=gen, b=opts.get("b"), seed=opts.get("seed"), samples=opts.get("samples"),
             checkpoints=(10_000, 100_000), freqs=(1,))
         rep = pipeline.host_experiment(cfg)
-        # transform of realize(gen, 20), from its product structure alone
-        mu_hat = complex(fourier._ft_structured(
-            gen.base, 20, ("product", gen.pi, 20), [1.0])[0])
+        # transform of realize(gen, 20), from its chain factorization alone
+        mu_hat = complex(fourier._ft_structured(gen.base, 20, (gen.pi, gen.P), [1.0])[0])
         final_N = cfg.checkpoints[-1]
         ws = {(r[0], r[1], r[2]): complex(r[3], r[4]) for r in rep.rows}
         for s in range(cfg.samples):

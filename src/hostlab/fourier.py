@@ -7,10 +7,11 @@ transform has the closed form
     F(xi) = sinc(xi h) * sum_k w_k e(xi (k + 1/2) h),      h = a^-n,
 
 with sinc(u) = sin(pi u)/(pi u); no sampling is involved.  Scaling satisfies
-F_m(S_t nu) = F(nu, m t), which is how scale averages are evaluated.  Product
-and chain structures sum place by place: digit d at place j costs one cos and
-sin (`cis`) of (2 pi h a^j)(xi d), not a power of another place's phase (that
-would scale its rounding error by a^j); products skip zero-probability digits.
+F_m(S_t nu) = F(nu, m t), which is how scale averages are evaluated.  A
+measure with the chain factorization (init, P) sums place by place: digit d at
+place j costs one cos and sin (`cis`) of (2 pi h a^j)(xi d), not a power of
+another place's phase (that would scale its rounding error by a^j); a digit
+that neither init nor any row of P can emit costs nothing.
 
 The scale average is closed form too: with c_D R(D) from `measures._lag_weights`
 (R = w * w, c_0 = 1, c_D = 2 for D > 0; `correlation_integral` sums it too),
@@ -78,35 +79,29 @@ def cis(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _structured_phase_sum(flat: np.ndarray, h: float, base: int,
+def _structured_phase_sum(flat: np.ndarray, h: float, base: int, level: int,
                           structure: tuple) -> np.ndarray:
-    """sum_k w_k e(xi h k) via the weight factorization: one factor per digit
-    place for a product, the transfer-matrix product for a chain.  Values
-    agree with the dense atom sum to rounding error."""
-    kind = structure[0]
-    if kind == "product":
-        _, p, n = structure
-        total = np.ones(len(flat), dtype=np.complex128)
-        for place in range(n):
-            c = TAU * h * base ** place
-            total *= p[0] + sum(p[d] * cis(c * (flat * d)) for d in np.flatnonzero(p[1:]) + 1)
-        return total
-    _, init, P, n = structure
+    """sum_k w_k e(xi h k) for the chain factorization structure = (init, P):
+    from the last place up, u_s <- sum_d P[s, d] e(xi h a^j d) u_d (real P on
+    (re, im) pairs), with init for P's row at the leading place.  A digit that
+    neither init nor any row of P emits has weight 0, so it gets no phase.
+    Values agree with the dense atom sum to rounding error."""
+    init, P = structure
+    digits = np.flatnonzero(P[:, 1:].any(axis=0) | (init[1:] > 0)) + 1    # e(0) = 1
     u = np.ones((base, len(flat)), dtype=np.complex128)
-    for place in range(n):
-        for d in range(1, base):
-            u[d] *= cis(TAU * h * base ** place * (flat * d))   # real P on (re, im) next
-        u = ((P if place < n - 1 else init) @ u.view(np.float64)).view(np.complex128)
+    for place in range(level):
+        u[digits] *= cis(TAU * h * base ** place * np.multiply.outer(digits, flat))
+        u = ((P if place < level - 1 else init) @ u.view(np.float64)).view(np.complex128)
     return u
 
 
 def _ft_structured(base: int, level: int, structure: tuple, xis) -> np.ndarray:
-    """Transform at every frequency in xis of the level-`level` measure whose
-    weights factor as `structure`; the weights themselves are never formed."""
+    """Transform at every frequency in xis of the level-`level` measure with the
+    chain factorization `structure`; the weights themselves are never formed."""
     xis = np.asarray(xis, dtype=np.float64)
     flat = np.ravel(xis)
     h = float(base) ** -level
-    out = _structured_phase_sum(flat, h, base, structure)
+    out = _structured_phase_sum(flat, h, base, level, structure)
     out *= cis((np.pi * h) * flat) * np.sinc(flat * h)
     return out.reshape(xis.shape)
 

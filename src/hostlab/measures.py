@@ -220,10 +220,10 @@ def word(base: int, digits) -> CylinderWord:
 class AdicMeasure:
     """Nonnegative weights on the a^level half-open level intervals, summing to 1.
 
-    `structure`, when present, is a multiplicative factorization of the
-    weight vector (("product", p, n) or ("chain", init, P, n)) attached by
-    the generator constructors; transform code uses it as an algebraically
-    exact fast path and ignores it otherwise.
+    `structure`, when present, is the chain factorization (init, P) of the
+    weight vector, w_(d_1 ... d_n) = init[d_1] P[d_1, d_2] ... P[d_(n-1), d_n],
+    attached by `realize` and `conditional_on_past`; transform code uses it as
+    an algebraically exact fast path and ignores it otherwise.
     """
 
     base: int
@@ -256,16 +256,14 @@ def _check_level(a: int, n: int) -> None:
 
 
 def _chain_measure(gen: MeasureGen, init: np.ndarray, n: int) -> AdicMeasure:
-    """Level-n weights of the chain started from the digit law `init`.  When
-    the rows of P all equal pi, each step is the outer product with pi."""
+    """Level-n weights of the chain started from the digit law `init`: each
+    step extends every word by one digit, w_(u d) = w_u P[last digit of u, d]."""
     a = gen.base
     _check_level(a, n)
-    iid = gen.kind == BERNOULLI
     w = init.copy()
     for _ in range(n - 1):
-        w = (w[:, None] * gen.pi if iid else w.reshape(-1, a)[:, :, None] * gen.P).ravel()
-    return AdicMeasure(base=a, level=n, weights=w,
-                       structure=("product", gen.pi, n) if iid else ("chain", init, gen.P, n))
+        w = (w.reshape(-1, a)[:, :, None] * gen.P).ravel()
+    return AdicMeasure(base=a, level=n, weights=w, structure=(init, gen.P))
 
 
 def realize(gen: MeasureGen, n: int) -> AdicMeasure:

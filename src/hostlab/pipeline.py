@@ -34,7 +34,6 @@ from .adic import (
 from .errors import InputError, NullCylinderError, PrecisionError
 from .fourier import TAU, _scale_averages, cis, ft_adic_many
 from .measures import (
-    MARKOV,
     MeasureGen,
     PastWord,
     _lag_correlation,
@@ -148,13 +147,17 @@ class CompareResult:
     gap: float
 
 
-def _conditional_cache(gen: MeasureGen, past: PastWord, level: int):
-    """Level-`level` conditional measures keyed by the relevant state."""
-    if gen.kind == MARKOV:
-        return {s: conditional_on_past(gen, PastWord(gen.base, (s,)), level)
-                for s in range(gen.base)}
-    mu = conditional_on_past(gen, past, level)
-    return {s: mu for s in range(gen.base)}
+def _conditional_laws(gen: MeasureGen, pasts, level: int):
+    """(firsts, law, mus): the first-digit law given each past (the weights of
+    its level-1 conditional measure), the distinct level-`level` conditional
+    measures mus, and law[i], the index in mus of past i's measure.  A
+    chain's conditional measure given a past is fixed by its first-digit
+    law, so the pasts that share one share a measure, built once."""
+    firsts = np.array([conditional_on_past(gen, past, 1).weights for past in pasts])
+    keys: dict[bytes, int] = {}
+    law = np.array([keys.setdefault(f.tobytes(), len(keys)) for f in firsts])
+    reps = np.unique(law, return_index=True)[1]
+    return firsts, law, [conditional_on_past(gen, pasts[i], level) for i in reps]
 
 
 def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
@@ -184,11 +187,6 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
         raise InputError("need k >= 0 and N >= 1")
     if past.base != a:
         raise InputError("past base differs from generator base")
-    if gen.kind == MARKOV and not past.symbols:
-        raise InputError("Markov conditioning requires a nonempty past")
-
-    nprime, z = kronecker_schedule(a, b, N)
-    nprime, z = nprime[1:], z[1:]                 # steps n = 1..N
     budget = PrecisionBudget.plan(a, b, N)
     if x.precision < budget.L + k:
         raise PrecisionError(
@@ -196,17 +194,20 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
             f"for N={N}, k={k}")
     if level is None:
         level = k + max(4, math.ceil(math.log(512 * abs(m)) / math.log(a)))
-    cache = _conditional_cache(gen, past, level)
+    # step n conditions on x's last digit s read (index s), or on the past (index a) at n' = 0
+    firsts, law, mus = _conditional_laws(gen, [PastWord(a, (s,)) for s in range(a)] + [past],
+                                         level)
 
+    nprime, z = kronecker_schedule(a, b, N)
+    nprime, z = nprime[1:], z[1:]                 # steps n = 1..N
     # the budget's 64 guard digits cover the J tail digits past n'(N)
     J = math.ceil(53 / math.log2(a)) + 1
     count = int(nprime[-1]) + J
     xdig = _int_to_digits(x.numerator // _pow(a, x.precision - count), a, count).astype(np.int64)
-    # each digit of the point's path has positive probability after the one
-    # before it; an empty (i.i.d.) past starts from row 0, equal to every row
-    state0 = past.symbols[0] if past.symbols else 0
+    # each digit of the point's path has positive probability given the
+    # past and the digits before it
     path = xdig[:nprime[-1]]
-    if not np.all(gen.P[np.concatenate(([state0], path[:-1])), path] > 0.0):
+    if not np.all(firsts[np.concatenate(([a], path[:-1])), path] > 0.0):
         raise NullCylinderError("point digits leave the generator's support")
 
     y = mul_mod1(x, a ** k)
@@ -220,11 +221,11 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     phases = m * (np.concatenate(blocks) * 2.0 ** -53) - xis * tails[nprime]
     phases -= np.floor(phases)                # before scaling by 2 pi
 
-    states = np.where(nprime >= 1, xdig[np.maximum(nprime - 1, 0)], state0)
+    step_law = law[np.where(nprime >= 1, xdig[np.maximum(nprime - 1, 0)], a)]
     vals = np.empty(N, dtype=np.complex128)
-    for s in np.unique(states):
-        idx = np.flatnonzero(states == s)
-        vals[idx] = ft_adic_many(cache[int(s)], xis[idx])
+    for i in np.unique(step_law):
+        idx = np.flatnonzero(step_law == i)
+        vals[idx] = ft_adic_many(mus[i], xis[idx])
     vals *= cis(TAU * phases)
     cond_avg = complex(vals.mean())
 
@@ -264,10 +265,9 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
     The z-integral is the scale-smoothing quantity with scale base a and
     prescale a^k; its companion bound is 1/(a^(k/2) |m| ln a) plus the
     correlation integral of the unscaled conditional at radius a^(-k/2).
-    Pasts are 32 symbols long.  Conditional measures of the supported
-    generator kinds depend on at most the most recent past symbol, so
-    distinct sampled pasts reuse cached values; the Monte Carlo mean and
-    standard error are unchanged by this.
+    Pasts are 32 symbols long.  Sampled pasts with one first-digit law share
+    one conditional measure, whose values are computed once; the Monte Carlo
+    mean and standard error are unchanged by this.
     """
     a = gen.base
     if m == 0:
@@ -282,25 +282,13 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
         level = max(math.ceil(k / 2.0 + math.log(16.0) / math.log(a)) + 2, 8)
 
     prescale = float(a) ** k
-    lhs_cache: dict[int, tuple[float, float]] = {}
-
-    def values_for(state_key: int, past: PastWord) -> tuple[float, float]:
-        if state_key not in lhs_cache:
-            # one c_D R(D) for both sides; the values equal scaled_sq_integral
-            # and correlation_integral bit for bit
-            mu = conditional_on_past(gen, past, level)
-            R = _lag_weights(mu.weights)
-            lhs = _scale_averages([R], mu.cell_width, m, float(a), prescale)[0]
-            lhs_cache[state_key] = (lhs, _lag_correlation(R, mu.cell_width, r))
-        return lhs_cache[state_key]
-
-    lhs_vals = np.empty(samples)
-    corr_vals = np.empty(samples)
-    for i in range(samples):
-        rng = derive_rng(seed, k, m, i)
-        past = sample_past(gen, length=32, rng=rng)
-        key = past.symbols[0] if gen.kind == MARKOV else -1
-        lhs_vals[i], corr_vals[i] = values_for(key, past)
+    pasts = [sample_past(gen, length=32, rng=derive_rng(seed, k, m, i)) for i in range(samples)]
+    _, law, mus = _conditional_laws(gen, pasts, level)
+    # one c_D R(D) per measure for both sides; the values equal
+    # scaled_sq_integral and correlation_integral bit for bit
+    lags, h = [_lag_weights(mu.weights) for mu in mus], mus[0].cell_width
+    lhs_vals = np.array(_scale_averages(lags, h, m, float(a), prescale))[law]
+    corr_vals = np.array([_lag_correlation(R, h, r) for R in lags])[law]
 
     scale_term = 1.0 / (float(a) ** (k / 2.0) * abs(m) * math.log(a))
     value = float(lhs_vals.mean())

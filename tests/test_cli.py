@@ -51,6 +51,18 @@ def test_equivariance_battery(tmp_path):
     assert "generated_by" in summary
 
 
+def test_equivariance_gens_split_only_where_a_generator_starts(tmp_path):
+    specs = ["bernoulli", "markov", "cantor", "uniform:3", "ifs:4;1,3", "bernoulli:0.3,0.7",
+             "markov:0.9,0.1;0.5,0.5", "cantor3"]
+    code = cli.main(["equivariance", "--gens", ",".join(specs), "--pairs", "4",
+                     "--seed", "2", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "equivariance.csv").read_text().splitlines()[2:]
+    # the label is the only field that can hold commas; five fields follow it
+    labels = [",".join(row.split(",")[:-5]) for row in rows]
+    assert labels == [spec for spec in specs for _ in range(4)]
+
+
 def test_weyl_small_run_and_dat(tmp_path):
     code = cli.main(["weyl", "--gen", "cantor3", "--b", "2", "--m", "1",
                      "--checkpoints", "200,1000", "--samples", "3",

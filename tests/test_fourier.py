@@ -99,15 +99,29 @@ def test_structured_path_matches_dense_atom_sum():
 
 
 def _structures(base: int, level: int):
-    """A product and a chain structure in `base`, each with a zero-probability digit."""
+    """(library chain factorization, oracle structure) pairs in `base`: an
+    i.i.d. law with a zero digit against the product formula; a chain with
+    zero entries; a chain with a digit that no row of P and not the start law
+    emits; and one whose start law puts mass on a digit no row of P emits."""
     rng = np.random.default_rng(base)
     p = rng.uniform(0.1, 1.0, base)
     p[base // 2] = 0.0
+    p /= p.sum()
     P = rng.uniform(0.1, 1.0, (base, base))
     P[0, -1] = P[-1, 0] = 0.0
     P /= P.sum(axis=1, keepdims=True)
     init = rng.uniform(0.1, 1.0, base)
-    return (("product", p / p.sum(), level), ("chain", init / init.sum(), P, level))
+    init /= init.sum()
+    unemitted = P.copy()                # no row emits the last digit
+    unemitted[:, 0] += unemitted[:, -1]
+    unemitted[:, -1] = 0.0
+    cold = init.copy()                  # nor does this start law
+    cold[0] += cold[-1]
+    cold[-1] = 0.0
+    return [((p, np.tile(p, (base, 1))), ("product", p, level)),
+            ((init, P), ("chain", init, P, level)),
+            ((cold, unemitted), ("chain", cold, unemitted, level)),
+            ((init, unemitted), ("chain", init, unemitted, level))]
 
 
 @pytest.mark.parametrize("level", [1, 2, 20])
@@ -118,17 +132,31 @@ def test_structured_sum_matches_per_digit_exp_oracle(base, level):
     flat = np.concatenate(([0.0, -1.0, 1.0, top, -top, -0.5 * top],
                            rng.uniform(-top, top, 40), rng.uniform(-50.0, 50.0, 40)))
     h = float(base) ** -level
-    for structure in _structures(base, level):
-        got = _structured_phase_sum(flat, h, base, structure)
-        ref = structured_phase_sum(flat, h, base, structure)
+    for structure, oracle in _structures(base, level):
+        got = _structured_phase_sum(flat, h, base, level, structure)
+        ref = structured_phase_sum(flat, h, base, oracle)
         assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_structured_sum_forms_no_phase_for_an_unemitted_digit(monkeypatch):
+    # cantor3's middle digit has probability 0 in every row and in pi
+    mu = realize(cantor3(), 6)
+    cis, shapes = fourier.cis, []
+
+    def counted(theta):
+        shapes.append(theta.shape)
+        return cis(theta)
+
+    monkeypatch.setattr(fourier, "cis", counted)
+    _structured_phase_sum(np.array([1.0, 2.5]), mu.cell_width, 3, 6, mu.structure)
+    assert shapes == [(1, 2)] * 6
 
 
 def test_structured_transform_needs_no_weights():
     # the controls' invariant-measure transform: same arithmetic, no 2^20 weights
     gen = bernoulli(2, [0.25, 0.75])
     xis = np.array([1.0, -3.5])
-    assert np.array_equal(_ft_structured(2, 20, ("product", gen.pi, 20), xis),
+    assert np.array_equal(_ft_structured(2, 20, (gen.pi, gen.P), xis),
                           ft_adic_many(realize(gen, 20), xis))
 
 

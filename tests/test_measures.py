@@ -122,7 +122,6 @@ def test_iid_conditional_ignores_the_past_bit_for_bit(gen):
     for symbols in [()] + [(s,) for s in range(gen.base)]:
         mu = conditional_on_past(gen, PastWord(gen.base, symbols), 6)
         assert np.array_equal(mu.weights, want)
-        assert mu.structure[0] == "product"
 
 
 def test_every_generator_is_a_chain():

@@ -241,6 +241,30 @@ def test_compare_markov_empty_past_is_input_error():
         orbit_vs_conditional_compare(gen, PastWord(2, ()), x, b=3, k=0, m=1, N=50)
 
 
+def test_one_conditional_per_distinct_law(monkeypatch):
+    # every past gives cantor3 one conditional law, which compare transforms
+    # in one call and proof-chain evaluates once; the chain has one per state
+    from hostlab import pipeline
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    counted("ft_adic_many", ft_adic_many)
+    counted("_lag_weights", pipeline._lag_weights)
+    for gen, b, past, laws in ((cantor3(), 2, PastWord(3, (0,)), 1),
+                               (markov(MARKOV_P), 3, PastWord(2, (1,)), 2)):
+        counts.clear()
+        x = make_point_from_digits(gen.base, sample_digits(gen, 400, np.random.default_rng(6),
+                                                           start=past.symbols[0]))
+        orbit_vs_conditional_compare(gen, past, x, b=b, k=1, m=1, N=100)
+        proof_chain_quantity(gen, b=b, k=2, m=1, samples=24, level=8, seed=7)
+        assert counts == {"ft_adic_many": laws, "_lag_weights": laws}
+
+
 def test_lifting_identity_direct_vs_schedule():
     """The n-step pushforward transform equals the scaled conditional
     transform times the exact cylinder phase; moduli agree on their own."""
