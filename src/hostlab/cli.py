@@ -205,7 +205,7 @@ class Options:
 # ---------------------------------------------------------------------------
 
 def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
-    dat = opts.get("dat")
+    threshold = opts.get("soft_median_threshold")
     cfg = pipeline.HostExperimentConfig(
         gen=opts.require("gen"),
         b=opts.require("b"),
@@ -214,38 +214,44 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, di
         checkpoints=tuple(opts.get("checkpoints")),
         freqs=tuple(opts.get("m")),
         k=opts.get("k"),
-        soft_final_threshold=opts.get("soft_median_threshold"),
     )
     rep = pipeline.host_experiment(cfg)
-    reports.write_csv(out_dir / "weyl.csv",
-                      ["sample", "m", "N", "re", "im", "abs"], rep.rows)
-    if dat:
-        lines = []
-        for N in cfg.checkpoints:
-            med = [rep.medians[(m, N)] for m in cfg.freqs]
-            p90 = [rep.percentile90[(m, N)] for m in cfg.freqs]
-            lines.append((N, *med, *p90))
+    reports.write_csv(out_dir / "weyl.csv", ["sample", "m", "N", "re", "im", "abs"],
+                      [(i, m, N, float(w.real), float(w.imag), float(abs(w)))
+                       for i, Wi in enumerate(rep.W)
+                       for N, row in zip(cfg.checkpoints, Wi)
+                       for m, w in zip(cfg.freqs, row)])
+    mags = np.abs(rep.W)
+    med = np.median(mags, axis=0).tolist()              # [checkpoint][freq]
+    p90 = np.percentile(mags, 90, axis=0).tolist()
+    if opts.get("dat"):
         header = (["N"] + [f"median_m{m}" for m in cfg.freqs]
                   + [f"p90_m{m}" for m in cfg.freqs])
         with open(out_dir / "weyl.dat", "w", encoding="utf-8", newline="") as fh:
             fh.write("# " + " ".join(header) + "\n")
-            for row in lines:
-                fh.write(" ".join(reports.fmt(v) for v in row) + "\n")
+            for N, row_med, row_p90 in zip(cfg.checkpoints, med, p90):
+                fh.write(" ".join(reports.fmt(v) for v in (N, *row_med, *row_p90)) + "\n")
 
-    for m in cfg.freqs:
-        if not rep.medians_decreasing[m]:
+    decreasing, final_ok = {}, {}
+    for m, series in zip(cfg.freqs, zip(*med)):
+        decreasing[str(m)] = all(y < x for x, y in zip(series, series[1:]))
+        final_ok[str(m)] = series[-1] < threshold
+        if not decreasing[str(m)]:
             warnings.append(f"median |W_N({m})| not strictly decreasing")
-        if not rep.final_median_ok[m]:
-            warnings.append(
-                f"final median |W({m})| above soft threshold "
-                f"{cfg.soft_final_threshold}")
+        if not final_ok[str(m)]:
+            warnings.append(f"final median |W({m})| above soft threshold {threshold}")
+
+    def by_key(vals):
+        return {f"m={m},N={N}": v for N, row in zip(cfg.checkpoints, vals)
+                for m, v in zip(cfg.freqs, row)}
+
     return 0, {
         "negative_control": rep.negative_control,
-        "medians": {f"m={m},N={N}": v for (m, N), v in rep.medians.items()},
-        "p90": {f"m={m},N={N}": v for (m, N), v in rep.percentile90.items()},
-        "medians_decreasing": {str(m): rep.medians_decreasing[m] for m in cfg.freqs},
-        "final_median_ok": {str(m): rep.final_median_ok[m] for m in cfg.freqs},
-        "per_sample_seed_keys": rep.seed_keys,
+        "medians": by_key(med),
+        "p90": by_key(p90),
+        "medians_decreasing": decreasing,
+        "final_median_ok": final_ok,
+        "per_sample_seed_keys": [[cfg.seed, i] for i in range(cfg.samples)],
         "diagnostics": {"precision_budget": {
             **dataclasses.asdict(rep.budget),
             "digits_consumed": rep.budget.L - rep.budget.guard_digits}},
@@ -300,10 +306,12 @@ def _worst_margin(rows, names) -> dict:
 
 
 def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
-    gen, b = opts.require("gen"), opts.require("b")
+    gen, b, ks = opts.require("gen"), opts.require("b"), opts.get("ks")
+    if not ks:
+        raise InputError("need at least one scale k in --ks")
     ests = [pipeline.proof_chain_quantity(gen, b=b, k=k, m=opts.get("m"),
                                           samples=opts.get("samples"), level=opts.get("level"),
-                                          seed=opts.get("seed")) for k in opts.get("ks")]
+                                          seed=opts.get("seed")) for k in ks]
     rows = [(e.k, e.m, e.samples, e.level, e.value, e.std_error,
              e.scale_term, e.corr_term, e.rhs, e.value <= e.rhs + 1e-4)
             for e in ests]
@@ -420,12 +428,15 @@ def run_equivariance(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
         "markov": measures.markov([[0.9, 0.1], [0.5, 0.5]]),
         "cantor": measures.cantor3(),
     }
+    pairs = opts.get("pairs")
+    if pairs < 1:
+        raise InputError(f"need --pairs >= 1, got {pairs}")
     rows = []
     all_ok = True
     for gi, name in enumerate(_split_gens(opts.get("gens"), named)):
         gen = named.get(name.strip()) or parse_generator(name.strip())
         rng = reports.derive_rng(opts.get("seed"), gi)
-        for trial in range(opts.get("pairs")):
+        for trial in range(pairs):
             past = measures.sample_past(gen, int(rng.integers(1, 7)), rng)
             wlen = int(rng.integers(1, 4))
             digits = measures.sample_digits(gen, wlen, rng, start=past.symbols[0])
@@ -455,9 +466,7 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int
         # transform of realize(gen, 20), from its chain factorization alone
         mu_hat = complex(fourier._ft_structured(gen.base, 20, (gen.pi, gen.P), [1.0])[0])
         final_N = cfg.checkpoints[-1]
-        ws = {(r[0], r[1], r[2]): complex(r[3], r[4]) for r in rep.rows}
-        for s in range(cfg.samples):
-            w = ws[s, 1, final_N]
+        for s, w in enumerate(rep.W[:, -1, 0].tolist()):
             err = abs(w - mu_hat)
             ok = err < 0.05
             if not ok:

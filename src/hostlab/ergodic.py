@@ -203,10 +203,7 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
         digits = sample_digits(gen, need, rng)
         out = np.empty((len(js), len(gs)), dtype=np.complex128)
         for gi, g in enumerate(gs):
-            idx = np.zeros(N, dtype=np.int64)
-            for w in range(g.window):
-                idx = idx * gen.base + digits[offs + w]
-            g_vals = g.table[idx]
+            g_vals = g.table[_word_indices(digits, g.window, gen.base)[offs]]
             out[:, gi] = phases @ g_vals / N
         return out
 

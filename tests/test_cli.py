@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hostlab
@@ -75,6 +76,33 @@ def test_weyl_small_run_and_dat(tmp_path):
     summary = json.loads((tmp_path / "weyl_summary.json").read_text())
     assert summary["negative_control"] is False
     assert summary["per_sample_seed_keys"] == [[7, 0], [7, 1], [7, 2]]
+
+
+def test_weyl_summary_and_dat_are_quantiles_of_the_csv(tmp_path):
+    code = cli.main(["weyl", "--gen", "cantor3", "--b", "2", "--m", "1,-3",
+                     "--checkpoints", "1000,100,300", "--samples", "4",
+                     "--seed", "9", "--out", str(tmp_path), "--dat"])
+    assert code == 0
+    mags = {}
+    for row in (tmp_path / "weyl.csv").read_text().splitlines()[2:]:
+        _, m, N, _, _, mag = row.split(",")
+        mags.setdefault((int(m), int(N)), []).append(float(mag))
+    assert len(mags) == 2 * 3 and all(len(v) == 4 for v in mags.values())
+    summary = json.loads((tmp_path / "weyl_summary.json").read_text())
+    dat = [line.split() for line in (tmp_path / "weyl.dat").read_text().splitlines()]
+    assert dat[0] == ["#", "N", "median_m1", "median_m-3", "p90_m1", "p90_m-3"]
+    assert [int(row[0]) for row in dat[1:]] == [100, 300, 1000]
+    # the abs column is numpy's scalar |w| and the quantiles read the array
+    # np.abs(W); the two can differ in the last bit, hence the 1e-15
+    for row in dat[1:]:
+        N = int(row[0])
+        for fi, m in enumerate((1, -3)):
+            med = pytest.approx(float(np.median(mags[m, N])), rel=1e-15, abs=0)
+            p90 = pytest.approx(float(np.percentile(mags[m, N], 90)), rel=1e-15, abs=0)
+            assert summary["medians"][f"m={m},N={N}"] == med
+            assert summary["p90"][f"m={m},N={N}"] == p90
+            assert float(row[1 + fi]) == summary["medians"][f"m={m},N={N}"]
+            assert float(row[3 + fi]) == summary["p90"][f"m={m},N={N}"]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -635,8 +663,12 @@ TIME_CHANGE_SMALL = ["time-change", "--gen", "uniform:2", "--theta", "log:2,3", 
      "--window 5 needs --window-func parity"),
     (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100", "--samples", "1",
       "--k", "-1"], "k = -1"),
+    (["equivariance", "--pairs", "-1"], "need --pairs >= 1, got -1"),
+    (["equivariance", "--pairs", "0"], "need --pairs >= 1, got 0"),
+    (["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", ""], "at least one scale k"),
 ], ids=["time-change-M1", "time-change-js-empty", "time-change-js-comma",
-        "martingale-window-sign0", "weyl-k-negative"])
+        "martingale-window-sign0", "weyl-k-negative", "equivariance-pairs-negative",
+        "equivariance-pairs-zero", "proof-chain-ks-empty"])
 def test_unusable_option_values_are_config_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 2

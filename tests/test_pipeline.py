@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hostlab.adic import PrecisionBudget, kronecker_schedule, make_point_from_digits
+from hostlab.adic import PrecisionBudget, kronecker_schedule, make_point_from_digits, mul_mod1
 from hostlab.errors import InputError, NullCylinderError, PrecisionError, ResourceError
 from hostlab.fourier import SmoothingParams, ft_adic_many, scaled_sq_integral
 from hostlab.measures import (
@@ -25,6 +25,7 @@ from hostlab.pipeline import (
     proof_chain_quantity,
     weyl_sum,
 )
+from hostlab.reports import derive_rng
 from oracles import (
     compare_reference,
     direct_pushforward_transform,
@@ -138,8 +139,8 @@ def test_host_experiment_labels_unsorted_checkpoints():
     shuffled = host_experiment(HostExperimentConfig(checkpoints=(2000, 100), **kw))
     ordered = host_experiment(HostExperimentConfig(checkpoints=(100, 2000), **kw))
     assert HostExperimentConfig(checkpoints=(2000, 100), **kw).checkpoints == (100, 2000)
-    assert shuffled.rows == ordered.rows
-    assert shuffled.medians == ordered.medians
+    assert shuffled.W.shape == (2, 2, 2)
+    assert shuffled.W.tobytes() == ordered.W.tobytes()
 
 
 def test_compare_rejects_zero_frequency():
@@ -348,11 +349,25 @@ def test_host_experiment_small_run_deterministic():
                                checkpoints=(200, 2000), freqs=(1,))
     rep1 = host_experiment(cfg)
     rep2 = host_experiment(cfg)
-    assert rep1.rows == rep2.rows
+    assert rep1.W.tobytes() == rep2.W.tobytes()
     assert not rep1.negative_control
-    assert len(rep1.rows) == 4 * 2 * 1
-    assert all(r[5] <= 1.0 + 1e-12 for r in rep1.rows)
-    assert rep1.seed_keys == [[42, i] for i in range(4)]
+    assert rep1.W.shape == (4, 2, 1)
+    assert np.all(np.abs(rep1.W) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("gen, b, k", [(cantor3(), 2, 0), (markov(MARKOV_P), 3, 2)],
+                         ids=["cantor3-x2", "markov-x3-k2"])
+def test_host_experiment_sample_i_is_the_point_from_derive_rng_seed_i(gen, b, k):
+    cfg = HostExperimentConfig(gen=gen, b=b, seed=13, samples=3, checkpoints=(500, 50),
+                               freqs=(2, -1), k=k)
+    W = host_experiment(cfg).W
+    assert W.shape == (3, 2, 2)
+    L = PrecisionBudget.plan(gen.base, b, 500).L + k
+    for i in range(3):
+        x = make_point_from_digits(gen.base, sample_digits(gen, L, derive_rng(13, i)))
+        if k:
+            x = mul_mod1(x, gen.base ** k)
+        assert W[i].tobytes() == weyl_sum(x, b, (2, -1), (50, 500)).tobytes()
 
 
 def test_host_experiment_gates():
