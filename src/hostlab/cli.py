@@ -216,12 +216,10 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, di
         k=opts.get("k"),
     )
     rep = pipeline.host_experiment(cfg)
+    mags = np.abs(rep.W)                                # one |W| for the CSV and the quantiles
     reports.write_csv(out_dir / "weyl.csv", ["sample", "m", "N", "re", "im", "abs"],
-                      [(i, m, N, float(w.real), float(w.imag), float(abs(w)))
-                       for i, Wi in enumerate(rep.W)
-                       for N, row in zip(cfg.checkpoints, Wi)
-                       for m, w in zip(cfg.freqs, row)])
-    mags = np.abs(rep.W)
+                      [(i, cfg.freqs[f], cfg.checkpoints[c], float(w.real), float(w.imag),
+                        float(mags[i, c, f])) for (i, c, f), w in np.ndenumerate(rep.W)])
     med = np.median(mags, axis=0).tolist()              # [checkpoint][freq]
     p90 = np.percentile(mags, 90, axis=0).tolist()
     if opts.get("dat"):
@@ -260,7 +258,6 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, di
 
 def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
     battery = opts.get("battery")
-    slack = 1e-4
     if battery == "quick":
         densities = fourier.c1_default_battery()[:3]
         ts = [1, -2, 10]
@@ -275,14 +272,13 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
         bs = [2.0, 10.0]
         rs = [3.0 ** -j for j in range(1, 7)]
 
-    c1_rows = fourier.c1_certificate(densities, ts, slack=slack)
+    c1_rows = fourier.c1_certificate(densities, ts)
     reports.write_csv(out_dir / "c1_cert.csv",
                       ["density", "t", "lhs", "rhs", "margin", "ok"],
                       [(r["density"], r["t"], r["lhs"], r["rhs"], r["margin"],
                         r["ok"]) for r in c1_rows])
 
-    rows = fourier.smoothing_certificate(meas, ms, bs, rs, slack=slack,
-                                         parallel_map=reports.parallel_map)
+    rows = fourier.smoothing_certificate(meas, ms, bs, rs, parallel_map=reports.parallel_map)
     reports.write_csv(out_dir / "fourier_cert.csv",
                       ["measure", "m", "b", "r", "lhs", "rhs", "margin", "ok"],
                       [(r["measure"], r["m"], r["b"], r["r"], r["lhs"],
@@ -306,20 +302,22 @@ def _worst_margin(rows, names) -> dict:
 
 
 def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
-    gen, b, ks = opts.require("gen"), opts.require("b"), opts.get("ks")
+    gen = opts.require("gen")
+    opts.require("b")       # required and echoed only: the z-average does not read b
+    ks = opts.get("ks")
     if not ks:
         raise InputError("need at least one scale k in --ks")
-    ests = [pipeline.proof_chain_quantity(gen, b=b, k=k, m=opts.get("m"),
-                                          samples=opts.get("samples"), level=opts.get("level"),
-                                          seed=opts.get("seed")) for k in ks]
+    ests = [pipeline.proof_chain_quantity(gen, k=k, m=opts.get("m"), samples=opts.get("samples"),
+                                          level=opts.get("level"), seed=opts.get("seed"))
+            for k in ks]
     rows = [(e.k, e.m, e.samples, e.level, e.value, e.std_error,
-             e.scale_term, e.corr_term, e.rhs, e.value <= e.rhs + 1e-4)
+             e.scale_term, e.corr_term, e.rhs, e.value <= e.rhs + fourier.SLACK)
             for e in ests]
     reports.write_csv(out_dir / "proof_chain.csv",
                       ["k", "m", "samples", "level", "value", "std_error",
                        "scale_term", "corr_term", "rhs", "ok"], rows)
 
-    hard_bad = [e for e in ests if e.value > e.rhs + 1e-4]
+    hard_bad = [e for e in ests if e.value > e.rhs + fourier.SLACK]
     for prev, cur in zip(ests, ests[1:]):
         if cur.value > prev.value + 2.0 * (prev.std_error + cur.std_error):
             warnings.append(

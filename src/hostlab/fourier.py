@@ -50,6 +50,7 @@ from .measures import (AdicMeasure, _lag_correlation, _lag_weights, bernoulli, c
 from .reports import derive_rng
 
 TAU = 2.0 * np.pi
+SLACK = 1e-4        # every certified inequality holds as lhs <= rhs + SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +196,7 @@ def c1_default_battery() -> tuple[C1DensitySpec, ...]:
             quadratic_bump(0.5, 2.5))
 
 
-def c1_bound_check(spec: C1DensitySpec, t: float,
-                   slack: float = 0.0) -> tuple[float, float, bool]:
+def c1_bound_check(spec: C1DensitySpec, t: float) -> tuple[float, float, bool]:
     """lhs = |f-hat(t)| by adaptive quadrature, rhs = (sup f + (b-a) sup f')/(pi |t|).
 
     The bound is one-sided in t; |t| is used via conjugate symmetry.  The
@@ -215,7 +215,7 @@ def c1_bound_check(spec: C1DensitySpec, t: float,
                               {"t": t, "err": re_err + im_err, "density": spec.label})
     lhs = math.hypot(re, im)
     rhs = (spec.sup_f + (spec.b - spec.a) * spec.sup_df) / (math.pi * abs(t))
-    return lhs, rhs, lhs <= rhs + slack
+    return lhs, rhs, lhs <= rhs + SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,7 @@ def default_measure_battery(seed: int = 20240) -> list[tuple[str, AdicMeasure]]:
     ]
 
 
-def smoothing_certificate(measures, ms, bs, rs, slack: float = 1e-4,
-                          parallel_map=map) -> list[dict]:
+def smoothing_certificate(measures, ms, bs, rs, parallel_map=map) -> list[dict]:
     """One row per (measure, m, b, r): lhs, rhs, margin, ok.
 
     One R per distinct measure serves its scale averages and every radius.
@@ -352,15 +351,15 @@ def smoothing_certificate(measures, ms, bs, rs, slack: float = 1e-4,
             lhs = lhs_by_key[mu, abs(p.m), p.b_scale]
             rhs = _scale_bound(p) + corr[p.r]
             rows.append({"measure": label, "m": p.m, "b": p.b_scale, "r": p.r, "lhs": lhs,
-                         "rhs": rhs, "margin": rhs - lhs, "ok": lhs <= rhs + slack})
+                         "rhs": rhs, "margin": rhs - lhs, "ok": lhs <= rhs + SLACK})
     return rows
 
 
-def c1_certificate(densities, ts, slack: float = 1e-4) -> list[dict]:
+def c1_certificate(densities, ts) -> list[dict]:
     rows = []
     for spec in densities:
         for t in ts:
-            lhs, rhs, ok = c1_bound_check(spec, t, slack=slack)
+            lhs, rhs, ok = c1_bound_check(spec, t)
             rows.append({"density": spec.label, "t": t, "lhs": lhs, "rhs": rhs,
                          "margin": rhs - lhs, "ok": ok})
     return rows

@@ -299,8 +299,6 @@ def cylinder_condition(mu: AdicMeasure, w: CylinderWord) -> AdicMeasure:
     mass = float(block.sum())
     if mass <= 0.0:
         raise NullCylinderError(f"conditioning on null atom {w.digits}")
-    if mu.level == n:
-        return AdicMeasure(base=mu.base, level=0, weights=np.array([1.0]))
     return AdicMeasure(base=mu.base, level=mu.level - n, weights=block / mass)
 
 

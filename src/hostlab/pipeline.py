@@ -4,13 +4,13 @@ integral whose decay drives everything.
 
 All orbits run in exact integer arithmetic at a precision budget covering the
 full orbit length; nothing is silently degraded to floats.  Each orbit point
-T_b^n x is read out as r_n = floor(2^53 frac(b^n x)), exactly, from one big
-division (recursive, `adic._big_divmod`) and the base-b digit stream of its
-quotient (read from its bytes when b = 2^j); only the characters
-e(m r_n 2^-53) are floats, so a Weyl average is within O(m 2^-53) of the
-exact one.  The comparison reuses that stream: its cylinder phases are
-floats built from r_n and the digits of x, within O(m a^(k+1) 2^-53) of the
-exact ones.
+T_b^n x is read out as r_n = floor(2^53 frac(b^n x)), exactly, into one
+uint64 array (`_orbit_readouts`), from one big division (recursive,
+`adic._big_divmod`) and the base-b digits of its quotient (read from its bytes
+when b = 2^j); only the characters e(m r_n 2^-53) are floats, so a Weyl
+average is within O(m 2^-53) of the exact one.  The comparison reads the same
+array for its orbit average and its cylinder phases: those are floats built
+from r_n and the digits of x, within O(m a^(k+1) 2^-53) of the exact ones.
 """
 
 from __future__ import annotations
@@ -50,53 +50,50 @@ from .reports import derive_rng
 # Weyl sums along an exact orbit
 # ---------------------------------------------------------------------------
 
-_CHUNK = 2048                 # orbit steps per scan / phase block
+_CHUNK = 2048                 # orbit steps per phase segment
 _MASK64 = (1 << 64) - 1
 
 
-def _orbit_readout_chunks(num: int, mod: int, b: int, N: int):
-    """Yield r_n = floor(2^53 frac(b^n x)), x = num/mod, for n = 1..N, as
-    consecutive uint64 blocks of at most _CHUNK steps.
+def _orbit_readouts(num: int, mod: int, b: int, N: int) -> np.ndarray:
+    """r_n = floor(2^53 frac(b^n x)), x = num/mod, for n = 1..N, as one uint64 array.
 
     G_n = floor(2^53 b^n x) satisfies G_n = b G_(n-1) + e_n, where e_1..e_N
     are the base-b digits of G_N below b^N.  So one big division gives G_N,
-    one radix conversion gives the digits, and the recurrence runs as a
-    uint64 doubling scan.  The scan wraps mod 2^64, and 2^53 divides 2^64,
-    so r_n = G_n mod 2^53 is exact.
+    one radix conversion gives the digits, and the recurrence runs as an
+    in-place uint64 doubling scan over them.  The scan wraps mod 2^64, and
+    2^53 divides 2^64, so r_n = G_n mod 2^53 is exact.
     """
     bN = b ** N
     head, low = divmod(_big_divmod((num * bN) << 53, mod)[0], bN)
-    digits = _int_to_digits(low, b, N)
-    g = head                                  # G_(start) mod 2^64
-    for start in range(0, N, _CHUNK):
-        v = digits[start:start + _CHUNK].copy()
-        v[0] = (b * g + int(v[0])) & _MASK64
-        p, s = b, 1                           # p = b^s mod 2^64, a Python int
-        while s < len(v):
-            v[s:] += np.uint64(p) * v[:-s]
-            p, s = (p * p) & _MASK64, 2 * s
-        g = int(v[-1])
-        yield v & np.uint64((1 << 53) - 1)
+    v = _int_to_digits(low, b, N)
+    v[0] = (b * head + int(v[0])) & _MASK64
+    tmp = np.empty_like(v)
+    p, s = b, 1                               # p = b^s mod 2^64, a Python int
+    while s < N:
+        np.multiply(v[:-s], np.uint64(p), out=tmp[s:])
+        v[s:] += tmp[s:]
+        p, s = (p * p) & _MASK64, 2 * s
+    v &= np.uint64((1 << 53) - 1)
+    return v
 
 
-def _orbit_character_sums(blocks, freqs, checkpoints):
+def _orbit_character_sums(r: np.ndarray, freqs, checkpoints):
     """Averages (1/N) sum_(n<=N) e(m T_b^n x) at each ascending checkpoint N
-    (rows) and m in `freqs` (columns), from the `_orbit_readout_chunks` blocks
-    of read-outs r_n: e_m is evaluated at r_n 2^-53, so each is within O(m 2^-53)."""
+    (rows) and m in `freqs` (columns), from the `_orbit_readouts` array r:
+    e_m is evaluated at r_n 2^-53, so each is within O(m 2^-53).  Phases are
+    summed over segments that end at each checkpoint and each multiple of
+    _CHUNK, so no phase array is longer than _CHUNK."""
     taus = TAU * np.asarray(freqs, dtype=np.float64)
     out = np.empty((len(checkpoints), len(taus)), dtype=np.complex128)
     total = np.zeros(len(taus), dtype=np.complex128)
-    ci, done = 0, 0
-    for r in blocks:
-        ph = cis(np.multiply.outer(taus, r * 2.0 ** -53))
-        lo = 0
-        while ci < len(checkpoints) and checkpoints[ci] <= done + len(r):
-            n = checkpoints[ci]
-            total += ph[:, lo:n - done].sum(axis=1)
-            out[ci] = total / n
-            lo, ci = n - done, ci + 1
-        total += ph[:, lo:].sum(axis=1)
-        done += len(r)
+    ends = sorted({*checkpoints, *range(_CHUNK, checkpoints[-1], _CHUNK)})
+    ci, lo = 0, 0
+    for hi in ends:
+        total += cis(np.multiply.outer(taus, r[lo:hi] * 2.0 ** -53)).sum(axis=1)
+        if hi == checkpoints[ci]:
+            out[ci] = total / hi
+            ci += 1
+        lo = hi
     return out
 
 
@@ -130,8 +127,7 @@ def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints) -> np.ndarray:
             f"point precision {x.precision} below budget {budget.L} "
             f"for N={checkpoints[-1]}")
     return _orbit_character_sums(
-        _orbit_readout_chunks(x.numerator, x.denominator, b, checkpoints[-1]),
-        freqs, checkpoints)
+        _orbit_readouts(x.numerator, x.denominator, b, checkpoints[-1]), freqs, checkpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     n-step pushforward (without it only the moduli agree).  Writing
     x = (K_n + t_n) / a^(n') and a^(z_n) = b^n / a^(n'), the phase is
     frac(m r_n 2^-53 - xi_n t_n), with r_n the exact read-out of T_b^n T_a^k x
-    from the orbit side's own stream and t_n summed from J digits of x past
+    from the orbit side's own array and t_n summed from J digits of x past
     n' (a^-J < 2^-53 / a).  It is within O(m a^(k+1) 2^-53) of the exact
     phase, the order of the float error xi_n already carries.  A level over
     the weight budget raises ResourceError before any orbit work.
@@ -211,14 +207,14 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
         raise NullCylinderError("point digits leave the generator's support")
 
     y = mul_mod1(x, a ** k)
-    blocks = list(_orbit_readout_chunks(y.numerator, y.denominator, b, N))
-    orbit_avg = complex(_orbit_character_sums(blocks, (m,), (N,))[0, 0])
+    r = _orbit_readouts(y.numerator, y.denominator, b, N)
+    orbit_avg = complex(_orbit_character_sums(r, (m,), (N,))[0, 0])
 
     tails = np.zeros(len(xdig) - J + 1)           # t for every n' = 0..n'(N)
     for j in range(J, 0, -1):
         tails = (tails + xdig[j - 1:len(xdig) - J + j]) / a
     xis = m * float(a) ** k * np.power(float(a), z)
-    phases = m * (np.concatenate(blocks) * 2.0 ** -53) - xis * tails[nprime]
+    phases = m * (r * 2.0 ** -53) - xis * tails[nprime]
     phases -= np.floor(phases)                # before scaling by 2 pi
 
     step_law = law[np.where(nprime >= 1, xdig[np.maximum(nprime - 1, 0)], a)]
@@ -253,13 +249,10 @@ class ProofChainEstimate:
     scale_term: float
     corr_term: float
     rhs: float
-    b: int                      # carried for provenance; the z-average itself
-                                # integrates over one full power of the base
 
 
-def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
-                         samples: int, level: int | None = None,
-                         seed: int = 0) -> ProofChainEstimate:
+def proof_chain_quantity(gen: MeasureGen, k: int, m: int, samples: int,
+                         level: int | None = None, seed: int = 0) -> ProofChainEstimate:
     """Estimate the average over pasts of int_0^1 |F_m(S_{a^z} S_{a^k} mu_past)|^2 dz.
 
     The z-integral is the scale-smoothing quantity with scale base a and
@@ -299,7 +292,7 @@ def proof_chain_quantity(gen: MeasureGen, b: int, k: int, m: int,
     return ProofChainEstimate(
         k=k, m=m, samples=samples, level=level, value=value, std_error=se,
         scale_term=scale_term, corr_term=corr_mean,
-        rhs=scale_term + corr_mean, b=b)
+        rhs=scale_term + corr_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +333,8 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     does not abort the run; the report is labeled a negative control.  No
     equidistribution rate is asserted here.
     Samples go through `parallel_map` (default: in order); the CLI keeps the
-    default: big-int set-up and a scan in 2,048-step numpy blocks hold the
-    GIL, and at paper scale 2 threads took 2.2-2.4 s against 2.15 s in order.
+    default: big-int set-up and the read-out scan hold the GIL, and at paper
+    scale 2 threads took 2.2-2.4 s against 2.15 s in order.
     """
     gen, b = cfg.gen, cfg.b
     a = gen.base

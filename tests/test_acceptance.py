@@ -65,7 +65,7 @@ def report(cid: str, status: str, detail: str) -> None:
 def test_criterion_1_c1_density_bound():
     t0 = time.perf_counter()
     ts = [t for base in (1, 2, 5, 10, 100) for t in (base, -base)]
-    rows = c1_certificate(c1_default_battery(), ts, slack=1e-4)
+    rows = c1_certificate(c1_default_battery(), ts)
     assert len(rows) >= 3 * 10
     assert all(r["ok"] for r in rows)
 
@@ -87,7 +87,7 @@ def test_criterion_2_smoothing_certification():
     ms = [m for mm in range(1, 9) for m in (mm, -mm)]
     bs = [2.0, 10.0]
     rs = [3.0 ** -j for j in range(1, 7)]
-    rows = smoothing_certificate(measures, ms, bs, rs, slack=1e-4)
+    rows = smoothing_certificate(measures, ms, bs, rs)
     assert len(rows) == 4 * 16 * 2 * 6
     bad = [r for r in rows if not r["ok"]]
     assert not bad, f"{len(bad)} rows violated the bound"
@@ -182,7 +182,7 @@ def test_criterion_5_negative_controls():
 
 def test_criterion_6_proof_chain_decay():
     t0 = time.perf_counter()
-    ests = [proof_chain_quantity(cantor3(), b=2, k=k, m=1, samples=8,
+    ests = [proof_chain_quantity(cantor3(), k=k, m=1, samples=8,
                                  level=9, seed=606) for k in (0, 2, 4, 6)]
     for est in ests:
         assert est.value <= est.rhs + 1e-4

@@ -92,15 +92,12 @@ def test_weyl_summary_and_dat_are_quantiles_of_the_csv(tmp_path):
     dat = [line.split() for line in (tmp_path / "weyl.dat").read_text().splitlines()]
     assert dat[0] == ["#", "N", "median_m1", "median_m-3", "p90_m1", "p90_m-3"]
     assert [int(row[0]) for row in dat[1:]] == [100, 300, 1000]
-    # the abs column is numpy's scalar |w| and the quantiles read the array
-    # np.abs(W); the two can differ in the last bit, hence the 1e-15
+    # the abs column and the quantiles read one |W| array, so they agree exactly
     for row in dat[1:]:
         N = int(row[0])
         for fi, m in enumerate((1, -3)):
-            med = pytest.approx(float(np.median(mags[m, N])), rel=1e-15, abs=0)
-            p90 = pytest.approx(float(np.percentile(mags[m, N], 90)), rel=1e-15, abs=0)
-            assert summary["medians"][f"m={m},N={N}"] == med
-            assert summary["p90"][f"m={m},N={N}"] == p90
+            assert summary["medians"][f"m={m},N={N}"] == float(np.median(mags[m, N]))
+            assert summary["p90"][f"m={m},N={N}"] == float(np.percentile(mags[m, N], 90))
             assert float(row[1 + fi]) == summary["medians"][f"m={m},N={N}"]
             assert float(row[3 + fi]) == summary["p90"][f"m={m},N={N}"]
 
@@ -158,7 +155,7 @@ def test_fourier_cert_quick(tmp_path):
 
 def test_quadrature_error_prints_diagnostics(tmp_path, monkeypatch, capsys):
     # the C1-density transform is the one quadrature left that can fail
-    def fail(spec, t, slack=0.0):
+    def fail(spec, t):
         raise QuadratureError("transform quadrature above tolerance",
                               {"t": t, "err": 2e-10, "density": spec.label})
 

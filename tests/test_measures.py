@@ -80,6 +80,16 @@ def test_cylinder_condition_null_atom():
         cylinder_condition(realize(cantor3(), 4), word(3, [1]))
 
 
+def test_cylinder_condition_full_length_word_is_one_atom():
+    # a word as long as the level leaves one cell, of mass exactly 1.0
+    mu = realize(markov(MARKOV_P), 4)
+    for digits in ([0, 0, 0, 0], [1, 0, 1, 1]):
+        out = cylinder_condition(mu, word(2, digits))
+        assert out.level == 0 and out.weights.tolist() == [1.0]
+    with pytest.raises(NullCylinderError):
+        cylinder_condition(realize(cantor3(), 4), word(3, [0, 2, 1, 0]))
+
+
 def test_conditional_on_past():
     gen = bernoulli(2, [0.3, 0.7])
     past = PastWord(2, (1, 0, 1))

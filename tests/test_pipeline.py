@@ -19,7 +19,7 @@ from hostlab.measures import (
 from hostlab.pipeline import (
     _CHUNK,
     HostExperimentConfig,
-    _orbit_readout_chunks,
+    _orbit_readouts,
     host_experiment,
     orbit_vs_conditional_compare,
     proof_chain_quantity,
@@ -92,20 +92,20 @@ def _budget_point(a, b, N, seed):
 @pytest.mark.parametrize("a", [2, 3, 5])
 @pytest.mark.parametrize("b", [2, 3, 4, 5, 6, 10])
 def test_orbit_readouts_match_per_step_loop(a, b):
-    N = 2 * _CHUNK + 37                 # two carries between blocks
+    N = 2 * _CHUNK + 37                 # crosses two phase-segment edges
     x = _budget_point(a, b, N, seed=10 * a + b)
-    got = np.concatenate(list(_orbit_readout_chunks(x.numerator, x.denominator, b, N)))
+    got = _orbit_readouts(x.numerator, x.denominator, b, N)
     assert np.array_equal(got, orbit_readouts(x.numerator, x.denominator, b, N))
 
 
 @pytest.mark.filterwarnings("error")
 def test_orbit_readouts_edge_cases():
     zero = make_point_from_digits(3, [0] * 80)
-    got = np.concatenate(list(_orbit_readout_chunks(0, zero.denominator, 2, 5)))
+    got = _orbit_readouts(0, zero.denominator, 2, 5)
     assert np.array_equal(got, np.zeros(5, dtype=np.uint64))
     for a, b in ((2, 2), (3, 3), (2, 4), (3, 2)):
         x = _budget_point(a, b, 1, seed=a * b)
-        got = np.concatenate(list(_orbit_readout_chunks(x.numerator, x.denominator, b, 1)))
+        got = _orbit_readouts(x.numerator, x.denominator, b, 1)
         assert got.tolist() == orbit_readouts(x.numerator, x.denominator, b, 1)
     w = weyl_sum(zero, 2, freqs=(1, 2), checkpoints=(1, 3))
     assert np.array_equal(w, np.ones((2, 2)))
@@ -114,7 +114,7 @@ def test_orbit_readouts_edge_cases():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a,b", [(3, 2), (2, 3), (2, 2)])
 def test_weyl_averages_match_per_step_loop_across_chunk_boundary(a, b):
-    cps = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+    cps = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1)
     freqs = (1, -2, 3)
     x = _budget_point(a, b, cps[-1], seed=a + 7 * b)
     w = weyl_sum(x, b, freqs=freqs, checkpoints=cps)
@@ -210,7 +210,7 @@ def test_compare_cantor_gap_small():
 @pytest.mark.parametrize("N", [1, 1000, 4000])
 def test_compare_matches_exact_phase_loop(kind, k, m, N):
     """Every field agrees with the per-step route (exact big-int cylinder
-    phases, step-by-step orbit sums); N = 4000 crosses a read-out block."""
+    phases, step-by-step orbit sums); N = 4000 crosses a phase-segment edge."""
     gen, b, past = ((cantor3(), 2, PastWord(3, (0,))) if kind == "cantor3"
                     else (markov(MARKOV_P), 3, PastWord(2, (1,))))
     a = gen.base
@@ -225,6 +225,20 @@ def test_compare_matches_exact_phase_loop(kind, k, m, N):
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["cantor3", "markov"])
+def test_compare_orbit_avg_is_the_weyl_sum(kind):
+    # compare and weyl_sum read one orbit kernel: the orbit average of
+    # T_b^n T_a^k x is weyl_sum's W_N(m) at T_a^k x, bit for bit
+    gen, b, past = ((cantor3(), 2, PastWord(3, (0,))) if kind == "cantor3"
+                    else (markov(MARKOV_P), 3, PastWord(2, (1,))))
+    a, k, m, N = gen.base, 2, 3, 2 * _CHUNK + 5
+    start = past.symbols[0] if kind == "markov" else None
+    x = make_point_from_digits(a, sample_digits(gen, PrecisionBudget.plan(a, b, N).L + k,
+                                                np.random.default_rng(17), start=start))
+    res = orbit_vs_conditional_compare(gen, past, x, b, k, m, N, level=k + 6)
+    assert res.orbit_avg == weyl_sum(mul_mod1(x, a ** k), b, (m,), (N,))[0, 0]
+
+
 def test_level_over_weight_budget_is_resource_error():
     gen = cantor3()
     x = make_point_from_digits(3, sample_digits(gen, 200, np.random.default_rng(3)))
@@ -232,7 +246,7 @@ def test_level_over_weight_budget_is_resource_error():
         orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=0, m=1,
                                      N=50, level=30)
     with pytest.raises(ResourceError, match="weight-vector budget"):
-        proof_chain_quantity(gen, b=2, k=0, m=1, samples=2, level=30, seed=1)
+        proof_chain_quantity(gen, k=0, m=1, samples=2, level=30, seed=1)
 
 
 def test_compare_markov_empty_past_is_input_error():
@@ -262,7 +276,7 @@ def test_one_conditional_per_distinct_law(monkeypatch):
         x = make_point_from_digits(gen.base, sample_digits(gen, 400, np.random.default_rng(6),
                                                            start=past.symbols[0]))
         orbit_vs_conditional_compare(gen, past, x, b=b, k=1, m=1, N=100)
-        proof_chain_quantity(gen, b=b, k=2, m=1, samples=24, level=8, seed=7)
+        proof_chain_quantity(gen, k=2, m=1, samples=24, level=8, seed=7)
         assert counts == {"ft_adic_many": laws, "_lag_weights": laws}
 
 
@@ -300,7 +314,7 @@ def test_lifting_identity_direct_vs_schedule():
 
 def test_proof_chain_uniform_closed_form_bound():
     gen = uniform(3)
-    est = proof_chain_quantity(gen, b=2, k=2, m=1, samples=4, level=8, seed=5)
+    est = proof_chain_quantity(gen, k=2, m=1, samples=4, level=8, seed=5)
     a = 3
     assert est.value <= est.rhs
     assert est.rhs <= 1.0 / (a ** 1 * math.log(a)) + 2.0 * a ** -1.0
@@ -309,7 +323,7 @@ def test_proof_chain_uniform_closed_form_bound():
 
 def test_proof_chain_k_zero_matches_plain_integral():
     gen = cantor3()
-    est = proof_chain_quantity(gen, b=2, k=0, m=1, samples=3, level=9, seed=2)
+    est = proof_chain_quantity(gen, k=0, m=1, samples=3, level=9, seed=2)
     mu = realize(gen, 9)
     plain = scaled_sq_integral(mu, SmoothingParams(b_scale=3.0, m=1, r=1.0))
     assert abs(est.value - plain) < 1e-9
@@ -319,19 +333,19 @@ def test_proof_chain_k_zero_matches_plain_integral():
 
 def test_proof_chain_decay_and_refusals():
     gen = cantor3()
-    e0 = proof_chain_quantity(gen, b=2, k=0, m=1, samples=3, level=9, seed=2)
-    e4 = proof_chain_quantity(gen, b=2, k=4, m=1, samples=3, level=9, seed=2)
+    e0 = proof_chain_quantity(gen, k=0, m=1, samples=3, level=9, seed=2)
+    e4 = proof_chain_quantity(gen, k=4, m=1, samples=3, level=9, seed=2)
     assert e4.value < e0.value
     with pytest.raises(InputError):
-        proof_chain_quantity(bernoulli(2, [1.0, 0.0]), b=3, k=2, m=1,
+        proof_chain_quantity(bernoulli(2, [1.0, 0.0]), k=2, m=1,
                              samples=2, level=8, seed=1)
     with pytest.raises(InputError):
-        proof_chain_quantity(gen, b=2, k=0, m=0, samples=2, level=9, seed=1)
+        proof_chain_quantity(gen, k=0, m=0, samples=2, level=9, seed=1)
 
 
 def test_proof_chain_runs_past_k6():
     gen = cantor3()
-    e6, e8 = (proof_chain_quantity(gen, b=2, k=k, m=1, samples=3, seed=2) for k in (6, 8))
+    e6, e8 = (proof_chain_quantity(gen, k=k, m=1, samples=3, seed=2) for k in (6, 8))
     assert e8.level == 9
     assert e8.value <= e8.rhs + 1e-4
     assert e8.value < e6.value
@@ -339,7 +353,7 @@ def test_proof_chain_runs_past_k6():
 
 def test_proof_chain_markov_samples_vary():
     gen = markov(MARKOV_P)
-    est = proof_chain_quantity(gen, b=3, k=2, m=1, samples=24, level=10, seed=7)
+    est = proof_chain_quantity(gen, k=2, m=1, samples=24, level=10, seed=7)
     assert est.value <= est.rhs + 1e-4
     assert est.std_error >= 0.0
 
