@@ -303,7 +303,8 @@ def _worst_margin(rows, names) -> dict:
 
 def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
     gen = opts.require("gen")
-    opts.require("b")       # required and echoed only: the z-average does not read b
+    if opts.require("b") < 2:       # checked and echoed only: the z-average does not read b
+        raise InputError("b must be >= 2")
     ks = opts.get("ks")
     if not ks:
         raise InputError("need at least one scale k in --ks")
@@ -461,8 +462,7 @@ def run_controls(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int
             gen=gen, b=opts.get("b"), seed=opts.get("seed"), samples=opts.get("samples"),
             checkpoints=(10_000, 100_000), freqs=(1,))
         rep = pipeline.host_experiment(cfg)
-        # transform of realize(gen, 20), from its chain factorization alone
-        mu_hat = complex(fourier._ft_structured(gen.base, 20, (gen.pi, gen.P), [1.0])[0])
+        mu_hat = fourier.ft_adic(measures.realize(gen, 20), 1.0)
         final_N = cfg.checkpoints[-1]
         for s, w in enumerate(rep.W[:, -1, 0].tolist()):
             err = abs(w - mu_hat)

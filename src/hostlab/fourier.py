@@ -96,24 +96,15 @@ def _structured_phase_sum(flat: np.ndarray, h: float, base: int, level: int,
     return u
 
 
-def _ft_structured(base: int, level: int, structure: tuple, xis) -> np.ndarray:
-    """Transform at every frequency in xis of the level-`level` measure with the
-    chain factorization `structure`; the weights themselves are never formed."""
-    xis = np.asarray(xis, dtype=np.float64)
-    flat = np.ravel(xis)
-    h = float(base) ** -level
-    out = _structured_phase_sum(flat, h, base, level, structure)
-    out *= cis((np.pi * h) * flat) * np.sinc(flat * h)
-    return out.reshape(xis.shape)
-
-
 def ft_adic_many(mu: AdicMeasure, xis) -> np.ndarray:
-    """Transform of mu at every frequency in xis (vectorized)."""
-    if mu.structure is not None and mu.level >= 1:
-        return _ft_structured(mu.base, mu.level, mu.structure, xis)
+    """Transform of mu at every frequency in xis (vectorized); a chain
+    factorization is summed place by place and its weights are never read."""
     xis = np.asarray(xis, dtype=np.float64)
     flat = np.ravel(xis)
     h = mu.cell_width
+    if mu.structure is not None:
+        out = _structured_phase_sum(flat, h, mu.base, mu.level, mu.structure)
+        return (out * (cis((np.pi * h) * flat) * np.sinc(flat * h))).reshape(xis.shape)
     w = mu.weights
     K = len(w)
     out = np.empty(len(flat), dtype=np.complex128)
@@ -125,16 +116,13 @@ def ft_adic_many(mu: AdicMeasure, xis) -> np.ndarray:
         wn = w[nz]
         for i, xi in enumerate(flat):
             out[i] = np.dot(wn, np.exp((1j * TAU * xi) * centers))
-        out *= np.sinc(flat * h)
-        return out.reshape(xis.shape)
-
-    chunk = max(1, min(64, (1 << 21) // max(K, 1)))
-    for i in range(0, len(flat), chunk):
-        xc = flat[i:i + chunk]
-        q = np.exp((1j * TAU * h) * xc)
-        powers = _phase_powers(q, K)
-        vals = w @ powers
-        out[i:i + chunk] = vals * np.exp((1j * np.pi * h) * xc)
+    else:
+        chunk = max(1, min(64, (1 << 21) // max(K, 1)))
+        for i in range(0, len(flat), chunk):
+            xc = flat[i:i + chunk]
+            q = np.exp((1j * TAU * h) * xc)
+            vals = w @ _phase_powers(q, K)
+            out[i:i + chunk] = vals * np.exp((1j * np.pi * h) * xc)
     out *= np.sinc(flat * h)
     return out.reshape(xis.shape)
 

@@ -3,8 +3,8 @@
 Every generator is a stationary digit chain (P, pi).  A Bernoulli digit
 process is the chain whose rows all equal pi; a self-similar digit-set
 measure with equal contraction ratios is the Bernoulli process with zeros off
-its digits.  A generator produces: level-n weight vectors, conditional
-measures given a finite past, samples, entropy, and correlation integrals.
+its digits.  A generator produces: level-n measures (its chain factorization
+from a start law), conditionals given a finite past, samples and entropy.
 A level-n measure assigns weight w_k to the half-open interval
 [k/a^n, (k+1)/a^n) and is read as piecewise uniform.  Its correlation
 integral is the lag sum sum_D c_D R(D) T(r/h - D) over the weight
@@ -15,10 +15,11 @@ guard r >= 16 h makes that one-sided kernel exact (see `correlation_integral`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NullCylinderError, ResolutionError, ResourceError
+from .errors import InputError, NullCylinderError, PrecisionError, ResolutionError, ResourceError
 
 MAX_WEIGHT_ENTRIES = 1 << 24   # weight-vector budget (memory < 1 GB)
 _PROB_TOL = 1e-12
@@ -77,7 +78,7 @@ def bernoulli(base: int, p) -> MeasureGen:
         raise InputError("probability vector length must equal base >= 2")
     if not np.all(np.isfinite(p) & (p >= 0)) or abs(p.sum() - 1.0) > _PROB_TOL:
         raise InputError("probabilities must be finite, >= 0 and sum to 1 within 1e-12")
-    _check_level(base, 2)       # P, a rows of pi, is as large as the level-2 weights
+    _check_budget(base, 2)      # P, a rows of pi, is as large as the level-2 weights
     return MeasureGen(kind=BERNOULLI, base=base, P=_freeze(np.tile(p, (base, 1))),
                       pi=_freeze(p))
 
@@ -216,59 +217,69 @@ def word(base: int, digits) -> CylinderWord:
 # Level-n measures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AdicMeasure:
     """Nonnegative weights on the a^level half-open level intervals, summing to 1.
 
-    `structure`, when present, is the chain factorization (init, P) of the
-    weight vector, w_(d_1 ... d_n) = init[d_1] P[d_1, d_2] ... P[d_(n-1), d_n],
-    attached by `realize` and `conditional_on_past`; transform code uses it as
-    an algebraically exact fast path and ignores it otherwise.
+    It takes its weight vector, validated and frozen here, or `structure`, the
+    chain factorization (init, P) from `realize` and `conditional_on_past`:
+    w_(d_1 ... d_n) = init[d_1] P[d_1, d_2] ... P[d_(n-1), d_n].  A factorized
+    measure builds its weights on the first read of `.weights`, under the
+    weight-vector budget, and keeps them; `fourier.ft_adic_many` never reads
+    them.  Its level must keep the cell width a^-level a normal float.
     """
 
     base: int
     level: int
-    weights: np.ndarray = field(repr=False)
     structure: tuple | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.base < 2 or self.level < 0:
+    def __init__(self, base: int, level: int, weights=None, structure: tuple | None = None):
+        if (weights is None) == (structure is None):
+            raise InputError("a measure takes its weights or a chain structure: one, not both")
+        if structure is not None and level < 1:
+            raise InputError("level must be >= 1")
+        if base < 2 or level < 0:
             raise InputError("base >= 2 and level >= 0 required")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if len(w) != self.base ** self.level:
-            raise InputError("weight vector length must be base**level")
-        if not np.all(np.isfinite(w) & (w >= 0)):
-            raise InputError("weights must be finite and nonnegative")
-        if abs(w.sum() - 1.0) > _PROB_TOL:
-            raise InputError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", _freeze(w))
+        if structure is not None and base ** level > 2 ** 1022:
+            raise PrecisionError(f"cell width {base}**-{level} is below the normal floats")
+        self.__dict__.update(base=base, level=level, structure=structure)   # frozen: no setattr
+        if structure is None:
+            w = np.asarray(weights, dtype=np.float64)
+            if len(w) != base ** level:
+                raise InputError("weight vector length must be base**level")
+            self.__dict__["weights"] = _checked(w)     # read in place of the chain build
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The chain's weights, one digit per step: w_(u d) = w_u P[last digit of u, d]."""
+        a, (init, P) = self.base, self.structure
+        _check_budget(a, self.level)
+        w = init.copy()
+        for _ in range(self.level - 1):
+            w = (w.reshape(-1, a)[:, :, None] * P).ravel()
+        return _checked(w)
 
     @property
     def cell_width(self) -> float:
         return float(self.base) ** -self.level
 
 
-def _check_level(a: int, n: int) -> None:
-    if n < 1:
-        raise InputError("level must be >= 1")
+def _checked(w: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise InputError("weights must be finite and nonnegative")
+    if abs(w.sum() - 1.0) > _PROB_TOL:
+        raise InputError("weights must sum to 1 within 1e-12")
+    return _freeze(w)
+
+
+def _check_budget(a: int, n: int) -> None:
     if a ** n > MAX_WEIGHT_ENTRIES:
         raise ResourceError(f"a^n = {a}**{n} exceeds the weight-vector budget")
 
 
-def _chain_measure(gen: MeasureGen, init: np.ndarray, n: int) -> AdicMeasure:
-    """Level-n weights of the chain started from the digit law `init`: each
-    step extends every word by one digit, w_(u d) = w_u P[last digit of u, d]."""
-    a = gen.base
-    _check_level(a, n)
-    w = init.copy()
-    for _ in range(n - 1):
-        w = (w.reshape(-1, a)[:, :, None] * gen.P).ravel()
-    return AdicMeasure(base=a, level=n, weights=w, structure=(init, gen.P))
-
-
 def realize(gen: MeasureGen, n: int) -> AdicMeasure:
-    """Level-n weights: each digit word gets its generator cylinder probability."""
-    return _chain_measure(gen, gen.pi, n)
+    """Level-n measure: each digit word gets its generator cylinder probability."""
+    return AdicMeasure(gen.base, n, structure=(gen.pi, gen.P))
 
 
 def conditional_on_past(gen: MeasureGen, past: PastWord, n: int) -> AdicMeasure:
@@ -279,7 +290,8 @@ def conditional_on_past(gen: MeasureGen, past: PastWord, n: int) -> AdicMeasure:
         raise InputError("past and generator bases differ")
     if gen.kind == MARKOV and not past.symbols:
         raise InputError("Markov conditioning requires a nonempty past")
-    return _chain_measure(gen, gen.P[past.symbols[0]] if past.symbols else gen.pi, n)
+    init = gen.P[past.symbols[0]] if past.symbols else gen.pi
+    return AdicMeasure(gen.base, n, structure=(init, gen.P))
 
 
 def cylinder_condition(mu: AdicMeasure, w: CylinderWord) -> AdicMeasure:

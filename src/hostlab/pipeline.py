@@ -171,8 +171,8 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     frac(m r_n 2^-53 - xi_n t_n), with r_n the exact read-out of T_b^n T_a^k x
     from the orbit side's own array and t_n summed from J digits of x past
     n' (a^-J < 2^-53 / a).  It is within O(m a^(k+1) 2^-53) of the exact
-    phase, the order of the float error xi_n already carries.  A level over
-    the weight budget raises ResourceError before any orbit work.
+    phase, the order of the float error xi_n already carries.  No weights are
+    built; a level with a^level > 2^1022 raises PrecisionError before any orbit work.
     """
     a = gen.base
     if m == 0:

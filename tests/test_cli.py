@@ -187,6 +187,14 @@ def test_proof_chain_runs_to_k12(tmp_path):
     assert summary["values"] == sorted(summary["values"], reverse=True)
 
 
+@pytest.mark.parametrize("b", ["1", "-7"])
+def test_proof_chain_b_below_two_is_config_error(b, tmp_path, capsys):
+    code = cli.main(["proof-chain", "--gen", "cantor3", "--b", b, "--ks", "0", "--seed", "1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "b must be >= 2" in capsys.readouterr().err
+
+
 def test_nan_probability_is_config_error(tmp_path):
     code = cli.main(["martingale", "--gen", "markov:nan,0.5;0.5,0.5", "--seed", "1",
                      "--out", str(tmp_path)])

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from hostlab import fourier
-from hostlab.errors import InputError, QuadratureError
+from hostlab.errors import InputError, QuadratureError, ResourceError
 from hostlab.fourier import (
     SmoothingParams,
-    _ft_structured,
     _lag_integrals,
     _structured_phase_sum,
     c1_bound_check,
@@ -25,9 +24,11 @@ from hostlab.fourier import (
 )
 from hostlab.measures import (
     AdicMeasure,
+    PastWord,
     _lag_weights,
     bernoulli,
     cantor3,
+    conditional_on_past,
     cylinder_condition,
     markov,
     realize,
@@ -153,11 +154,24 @@ def test_structured_sum_forms_no_phase_for_an_unemitted_digit(monkeypatch):
 
 
 def test_structured_transform_needs_no_weights():
-    # the controls' invariant-measure transform: same arithmetic, no 2^20 weights
-    gen = bernoulli(2, [0.25, 0.75])
+    # the controls' invariant-measure transform at level 20, and a level-40
+    # conditional whose 2^40 weights are over the budget: both are summed from
+    # (init, P), and neither builds its weight vector (a built one is kept in
+    # the instance dict)
     xis = np.array([1.0, -3.5])
-    assert np.array_equal(_ft_structured(2, 20, (gen.pi, gen.P), xis),
-                          ft_adic_many(realize(gen, 20), xis))
+    mu = realize(bernoulli(2, [0.25, 0.75]), 20)
+    deep = conditional_on_past(markov([[0.9, 0.1], [0.5, 0.5]]), PastWord(2, (1,)), 40)
+    for nu in (mu, deep):
+        assert np.all(np.isfinite(ft_adic_many(nu, xis)))
+        assert "weights" not in vars(nu)
+    with pytest.raises(ResourceError, match="weight-vector budget"):
+        deep.weights
+
+
+def test_structured_transform_at_the_deepest_normal_cell_width():
+    # 2^-1022 is the smallest normal float: the transform of Lebesgue measure
+    # from 1022 places is int_0^1 e(x/2) dx = 2i/pi
+    assert abs(ft_adic(realize(uniform(2), 1022), 0.5) - 2j / math.pi) < 1e-12
 
 
 def test_conjugate_symmetry():

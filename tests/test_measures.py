@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hostlab.errors import (
     InputError,
     NullCylinderError,
+    PrecisionError,
     ResolutionError,
     ResourceError,
 )
@@ -54,8 +57,45 @@ def test_realize_markov_hand_value():
 
 
 def test_realize_budget():
-    with pytest.raises(ResourceError):
-        realize(uniform(2), 25)
+    # the budget binds where the weight vector is built, not at construction
+    mu = realize(uniform(2), 25)
+    with pytest.raises(ResourceError, match="weight-vector budget"):
+        mu.weights
+
+
+def test_lazy_chain_weights_equal_word_enumeration():
+    # w_(d_1 ... d_6) = init[d_1] P[d_1, d_2] ... P[d_5, d_6], multiplied left
+    # to right, for the stationary start and a start row of P
+    gen = markov([[0.5, 0.3, 0.2], [0.0, 0.6, 0.4], [0.7, 0.0, 0.3]])
+    for mu in (realize(gen, 6), conditional_on_past(gen, PastWord(3, (2,)), 6)):
+        init, P = mu.structure
+        want = []
+        for digits in itertools.product(range(3), repeat=6):
+            w = init[digits[0]]
+            for s, d in zip(digits, digits[1:]):
+                w = w * P[s, d]
+            want.append(w)
+        assert "weights" not in vars(mu)
+        assert np.array_equal(mu.weights, want)
+        assert mu.weights is mu.weights              # built once, then kept
+        assert not mu.weights.flags.writeable
+
+
+def test_measure_takes_weights_or_structure():
+    mu = realize(uniform(2), 2)
+    for kwargs in ({}, {"weights": mu.weights, "structure": mu.structure}):
+        with pytest.raises(InputError, match="one, not both"):
+            AdicMeasure(base=2, level=2, **kwargs)
+
+
+def test_chain_level_past_the_normal_floats_is_precision_error():
+    # a^level > 2^1022 would make the cell width a^-level subnormal
+    assert realize(uniform(2), 1022).cell_width == 2.0 ** -1022
+    assert conditional_on_past(cantor3(), PastWord(3, (0,)), 644).level == 644
+    with pytest.raises(PrecisionError, match="normal floats"):
+        realize(uniform(2), 1023)
+    with pytest.raises(PrecisionError, match="normal floats"):
+        conditional_on_past(cantor3(), PastWord(3, (0,)), 645)     # 3^645 > 2^1022
 
 
 def test_cylinder_condition_self_similarity():

@@ -225,6 +225,26 @@ def test_compare_matches_exact_phase_loop(kind, k, m, N):
     assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
 
 
+@pytest.mark.parametrize("kind, k", [("cantor3", 10), ("cantor3", 12), ("markov", 12)])
+def test_compare_past_the_weight_budget_matches_the_oracle(kind, k):
+    """At compare's default level, k + 6 for cantor3 and k + 9 for the chain,
+    cantor3 has 3^16 and 3^18 cells, over the 2^24 weight budget that compare
+    once hit.  Every field agrees with the per-step route within the phase
+    bound 4 |m| a^(k+1) 2^-53."""
+    gen, b, past = ((cantor3(), 2, PastWord(3, (0,))) if kind == "cantor3"
+                    else (markov(MARKOV_P), 3, PastWord(2, (1,))))
+    a, m, N = gen.base, 1, 300
+    level = k + (6 if kind == "cantor3" else 9)
+    start = past.symbols[0] if kind == "markov" else None
+    x = make_point_from_digits(a, sample_digits(gen, PrecisionBudget.plan(a, b, N).L + k,
+                                                np.random.default_rng(k), start=start))
+    res = orbit_vs_conditional_compare(gen, past, x, b, k, m, N)
+    want = compare_reference(gen, past, x, b, k, m, N, level)
+    got = (res.orbit_avg, res.cond_avg, res.cond_abs_avg, res.gap)
+    bound = 4 * abs(m) * float(a) ** (k + 1) * 2.0 ** -53
+    assert max(abs(g - w) for g, w in zip(got, want)) < bound
+
+
 @pytest.mark.parametrize("kind", ["cantor3", "markov"])
 def test_compare_orbit_avg_is_the_weyl_sum(kind):
     # compare and weyl_sum read one orbit kernel: the orbit average of
@@ -240,11 +260,18 @@ def test_compare_orbit_avg_is_the_weyl_sum(kind):
 
 
 def test_level_over_weight_budget_is_resource_error():
+    # compare never builds the conditionals' weights, so a level over the
+    # weight budget runs, and its limit is the cell width 3^-level staying a
+    # normal float; proof-chain reads the weights and keeps the budget
     gen = cantor3()
     x = make_point_from_digits(3, sample_digits(gen, 200, np.random.default_rng(3)))
-    with pytest.raises(ResourceError, match="weight-vector budget"):
+    for level in (30, 644):
+        res = orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=0, m=1,
+                                           N=50, level=level)
+        assert np.isfinite(res.gap)
+    with pytest.raises(PrecisionError, match="normal floats"):
         orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=0, m=1,
-                                     N=50, level=30)
+                                     N=50, level=645)
     with pytest.raises(ResourceError, match="weight-vector budget"):
         proof_chain_quantity(gen, k=0, m=1, samples=2, level=30, seed=1)
 
