@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .adic import _floor_multiples
-from .errors import InputError, ResourceError
-from .measures import MAX_WEIGHT_ENTRIES, MeasureGen, realize, sample_digits
+from .errors import InputError
+from .measures import MeasureGen, _check_budget, realize, sample_digits
 from .reports import derive_rng
 
 
@@ -52,9 +52,7 @@ class DigitFunction:
 
 def parity_window(base: int, window: int) -> DigitFunction:
     """+-1 according to the parity of the digit sum over the window."""
-    if base ** window > MAX_WEIGHT_ENTRIES:
-        raise ResourceError(f"a parity table of {base}**{window} entries "
-                            f"exceeds the weight-vector budget")
+    _check_budget(base, window)
     idx = np.arange(base ** window)
     total = np.zeros_like(idx)
     rest = idx.copy()
@@ -125,6 +123,8 @@ def martingale_avg_experiment(gen: MeasureGen, f: DigitFunction,
 # ---------------------------------------------------------------------------
 
 def first_digit_indicator(base: int, digit: int = 0) -> DigitFunction:
+    if not 0 <= digit < base:
+        raise InputError(f"indicator digit {digit} outside 0..{base - 1}")
     t = np.zeros(base, dtype=np.complex128)
     t[digit] = 1.0
     return DigitFunction(base=base, window=1, table=t, label=f"ind{digit}")
@@ -132,6 +132,7 @@ def first_digit_indicator(base: int, digit: int = 0) -> DigitFunction:
 
 def character_on_digits(base: int, window: int, m: int = 1) -> DigitFunction:
     """e(m x) read off the first `window` digits of x."""
+    _check_budget(base, window)
     idx = np.arange(base ** window)
     xs = idx / float(base ** window)
     return DigitFunction(base=base, window=window,

@@ -41,7 +41,6 @@ from .measures import (
     conditional_on_past,
     entropy,
     sample_digits,
-    sample_past,
 )
 from .reports import derive_rng
 
@@ -236,37 +235,35 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
 
 @dataclass(frozen=True)
 class ProofChainEstimate:
-    """Monte Carlo estimate over sampled pasts of the z-averaged squared
+    """The exact average over stationary pasts of the z-averaged squared
     transform of the k-scaled conditional measures, with the companion bound
     split into its scale and correlation halves."""
 
     k: int
     m: int
-    samples: int
     level: int
     value: float
-    std_error: float
     scale_term: float
     corr_term: float
     rhs: float
 
 
-def proof_chain_quantity(gen: MeasureGen, k: int, m: int, samples: int,
-                         level: int | None = None, seed: int = 0) -> ProofChainEstimate:
-    """Estimate the average over pasts of int_0^1 |F_m(S_{a^z} S_{a^k} mu_past)|^2 dz.
+def proof_chain_quantity(gen: MeasureGen, k: int, m: int,
+                         level: int | None = None) -> ProofChainEstimate:
+    """The average over stationary pasts of int_0^1 |F_m(S_{a^z} S_{a^k} mu_past)|^2 dz.
 
     The z-integral is the scale-smoothing quantity with scale base a and
     prescale a^k; its companion bound is 1/(a^(k/2) |m| ln a) plus the
     correlation integral of the unscaled conditional at radius a^(-k/2).
-    Pasts are 32 symbols long.  Sampled pasts with one first-digit law share
-    one conditional measure, whose values are computed once; the Monte Carlo
-    mean and standard error are unchanged by this.
+    A conditional depends on its past only through the most recent symbol s,
+    whose law is pi, so both averages are exact sums over the states with
+    pi_s > 0; states with one conditional law share one evaluation.
     """
     a = gen.base
     if m == 0:
         raise InputError("m must be nonzero")
-    if k < 0 or samples < 1:
-        raise InputError("need k >= 0 and samples >= 1")
+    if k < 0:
+        raise InputError("need k >= 0")
     if entropy(gen) <= 1e-12:
         raise InputError("generator entropy must be positive (atoms do not decay)")
 
@@ -275,24 +272,22 @@ def proof_chain_quantity(gen: MeasureGen, k: int, m: int, samples: int,
         level = max(math.ceil(k / 2.0 + math.log(16.0) / math.log(a)) + 2, 8)
 
     prescale = float(a) ** k
-    pasts = [sample_past(gen, length=32, rng=derive_rng(seed, k, m, i)) for i in range(samples)]
-    _, law, mus = _conditional_laws(gen, pasts, level)
+    states = np.flatnonzero(gen.pi > 0.0)
+    _, law, mus = _conditional_laws(gen, [PastWord(a, (int(s),)) for s in states], level)
+    mass = np.bincount(law, weights=gen.pi[states])
     # one c_D R(D) per measure for both sides; the values equal
     # scaled_sq_integral and correlation_integral bit for bit
     lags, h = [_lag_weights(mu.weights) for mu in mus], mus[0].cell_width
-    lhs_vals = np.array(_scale_averages(lags, h, m, float(a), prescale))[law]
-    corr_vals = np.array([_lag_correlation(R, h, r) for R in lags])[law]
+    lhs = np.array(_scale_averages(lags, h, m, float(a), prescale))
+    corr = np.array([_lag_correlation(R, h, r) for R in lags])
 
     scale_term = 1.0 / (float(a) ** (k / 2.0) * abs(m) * math.log(a))
-    value = float(lhs_vals.mean())
-    # deviations from the first sample, so equal samples give exactly 0
-    spread = (lhs_vals - lhs_vals[0]).std(ddof=1) if samples > 1 else 0.0
-    se = float(spread / math.sqrt(samples))
-    corr_mean = float(corr_vals.mean())
+    # deviations from the first law, so one law gives its value bit for bit
+    value = float(lhs[0] + mass @ (lhs - lhs[0]))
+    corr_term = float(corr[0] + mass @ (corr - corr[0]))
     return ProofChainEstimate(
-        k=k, m=m, samples=samples, level=level, value=value, std_error=se,
-        scale_term=scale_term, corr_term=corr_mean,
-        rhs=scale_term + corr_mean)
+        k=k, m=m, level=level, value=value, scale_term=scale_term,
+        corr_term=corr_term, rhs=scale_term + corr_term)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,24 @@ def compare_reference(gen, past, x, b: int, k: int, m: int, N: int, level: int):
     return orbit_avg, cond_avg, float(np.abs(vals).mean()), abs(orbit_avg - cond_avg)
 
 
+def proof_chain_monte_carlo(gen, k: int, m: int, level: int, samples: int,
+                            seed: int) -> tuple[float, float]:
+    """(mean, standard error) over sampled pasts of the scale-smoothed squared
+    transform of the k-scaled conditional measure: each past is 32 stationary
+    symbols from derive_rng(seed, k, m, i), and each term is one
+    `scaled_sq_integral` of its own conditional, with no grouping by state."""
+    from hostlab.fourier import SmoothingParams, scaled_sq_integral
+    from hostlab.measures import conditional_on_past, sample_past
+    from hostlab.reports import derive_rng
+
+    a = gen.base
+    params = SmoothingParams(b_scale=float(a), m=m, r=1.0)
+    vals = np.array([scaled_sq_integral(
+        conditional_on_past(gen, sample_past(gen, 32, derive_rng(seed, k, m, i)), level),
+        params, prescale=float(a) ** k) for i in range(samples)])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
 def product_weights(p, n: int) -> np.ndarray:
     """Level-n weights of i.i.d. digits with law p: the n-fold outer product."""
     w = np.asarray(p, dtype=np.float64)

@@ -187,6 +187,26 @@ def test_proof_chain_runs_to_k12(tmp_path):
     assert summary["values"] == sorted(summary["values"], reverse=True)
 
 
+def test_proof_chain_markov_rows_read_no_seed_and_no_samples(tmp_path):
+    # the past average is exact: the seed moves no byte, and --samples only
+    # its own echoed column
+    def rows(seed, samples):
+        out = tmp_path / f"s{seed}n{samples}"
+        assert cli.main(["proof-chain", "--gen", "markov:0.9,0.1;0.5,0.5", "--b", "2",
+                         "--ks", "0,2", "--samples", str(samples), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        return read_bytes(out / "proof_chain.csv")
+
+    assert rows(1, 8) == rows(2, 8)
+    lines = [rows(1, n).decode().splitlines() for n in (2, 8)]
+    assert [r.split(",")[2] for r in lines[0][2:]] == ["2", "2"]
+    assert [r.split(",")[2] for r in lines[1][2:]] == ["8", "8"]
+    drop = [[",".join(f for i, f in enumerate(r.split(",")) if i != 2) for r in rs]
+            for rs in lines]
+    assert drop[0] == drop[1]
+    assert [float(r.split(",")[5]) for r in lines[1][2:]] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("b", ["1", "-7"])
 def test_proof_chain_b_below_two_is_config_error(b, tmp_path, capsys):
     code = cli.main(["proof-chain", "--gen", "cantor3", "--b", b, "--ks", "0", "--seed", "1",
@@ -392,6 +412,15 @@ def test_only_fourier_cert_uses_the_thread_pool(tmp_path, monkeypatch):
 def test_bad_thread_env_is_config_error_everywhere(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("HOSTLAB_THREADS", "zebra")
     assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_character_table_over_budget_exits_3(tmp_path, capsys):
+    # refused before allocation: e1w30 at base 2 would ask for 2**30 entries
+    code = cli.main(["time-change", "--gen", "markov:0.9,0.1;0.5,0.5", "--theta", "log:2,3",
+                     "--gfuncs", "ind0,e1w30", "--seed", "1", "--out", str(tmp_path)])
+    assert code == 3
+    assert "weight-vector budget" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_parallel_map_preserves_order(monkeypatch):
@@ -658,6 +687,7 @@ def test_config_file_matches_flags(sub, tmp_path):
 
 
 TIME_CHANGE_SMALL = ["time-change", "--gen", "uniform:2", "--theta", "log:2,3", "--N", "500"]
+TIME_CHANGE_MARKOV = ["time-change", "--gen", "markov:0.9,0.1;0.5,0.5", "--theta", "log:2,3"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -671,9 +701,13 @@ TIME_CHANGE_SMALL = ["time-change", "--gen", "uniform:2", "--theta", "log:2,3", 
     (["equivariance", "--pairs", "-1"], "need --pairs >= 1, got -1"),
     (["equivariance", "--pairs", "0"], "need --pairs >= 1, got 0"),
     (["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", ""], "at least one scale k"),
+    (["proof-chain", "--gen", "cantor3", "--b", "2", "--samples", "0"], "samples must be >= 1"),
+    ([*TIME_CHANGE_MARKOV, "--gfuncs", "ind5"], "indicator digit 5 outside 0..1"),
+    ([*TIME_CHANGE_MARKOV, "--gfuncs", "ind0,ind-1"], "indicator digit -1 outside 0..1"),
 ], ids=["time-change-M1", "time-change-js-empty", "time-change-js-comma",
         "martingale-window-sign0", "weyl-k-negative", "equivariance-pairs-negative",
-        "equivariance-pairs-zero", "proof-chain-ks-empty"])
+        "equivariance-pairs-zero", "proof-chain-ks-empty", "proof-chain-samples-zero",
+        "time-change-ind-above-base", "time-change-ind-negative"])
 def test_unusable_option_values_are_config_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 2

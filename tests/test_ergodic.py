@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hostlab.errors import InputError
+from hostlab.errors import InputError, ResourceError
 from hostlab.ergodic import (
     DigitFunction,
     _conditional_table,
@@ -157,6 +158,23 @@ def test_invariant_marginal_recovered_at_j_zero():
     assert dev[0, 0] <= res.tolerance          # A(0,g) near integral(g)
     assert dev[1, 0] <= res.tolerance          # A(1,g) near 0
     assert abs(res.expected[0, 0] - gen.pi[0]) < 1e-12
+
+
+@pytest.mark.parametrize("digit", [-1, 2, 5])
+def test_indicator_digit_outside_the_base_is_input_error(digit):
+    with pytest.raises(InputError, match="outside 0..1"):
+        first_digit_indicator(2, digit)
+
+
+def test_character_table_over_budget_is_refused_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="weight-vector budget"):
+            character_on_digits(2, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_character_function_integral_exact():

@@ -11,6 +11,7 @@ from hostlab.measures import (
     bernoulli,
     cantor3,
     conditional_on_past,
+    correlation_integral,
     markov,
     realize,
     sample_digits,
@@ -31,6 +32,7 @@ from oracles import (
     direct_pushforward_transform,
     orbit_character_sums,
     orbit_readouts,
+    proof_chain_monte_carlo,
 )
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
@@ -273,7 +275,7 @@ def test_level_over_weight_budget_is_resource_error():
         orbit_vs_conditional_compare(gen, PastWord(3, (0,)), x, b=2, k=0, m=1,
                                      N=50, level=645)
     with pytest.raises(ResourceError, match="weight-vector budget"):
-        proof_chain_quantity(gen, k=0, m=1, samples=2, level=30, seed=1)
+        proof_chain_quantity(gen, k=0, m=1, level=30)
 
 
 def test_compare_markov_empty_past_is_input_error():
@@ -303,7 +305,7 @@ def test_one_conditional_per_distinct_law(monkeypatch):
         x = make_point_from_digits(gen.base, sample_digits(gen, 400, np.random.default_rng(6),
                                                            start=past.symbols[0]))
         orbit_vs_conditional_compare(gen, past, x, b=b, k=1, m=1, N=100)
-        proof_chain_quantity(gen, k=2, m=1, samples=24, level=8, seed=7)
+        proof_chain_quantity(gen, k=2, m=1, level=8)
         assert counts == {"ft_adic_many": laws, "_lag_weights": laws}
 
 
@@ -341,7 +343,7 @@ def test_lifting_identity_direct_vs_schedule():
 
 def test_proof_chain_uniform_closed_form_bound():
     gen = uniform(3)
-    est = proof_chain_quantity(gen, k=2, m=1, samples=4, level=8, seed=5)
+    est = proof_chain_quantity(gen, k=2, m=1, level=8)
     a = 3
     assert est.value <= est.rhs
     assert est.rhs <= 1.0 / (a ** 1 * math.log(a)) + 2.0 * a ** -1.0
@@ -350,39 +352,60 @@ def test_proof_chain_uniform_closed_form_bound():
 
 def test_proof_chain_k_zero_matches_plain_integral():
     gen = cantor3()
-    est = proof_chain_quantity(gen, k=0, m=1, samples=3, level=9, seed=2)
+    est = proof_chain_quantity(gen, k=0, m=1, level=9)
     mu = realize(gen, 9)
     plain = scaled_sq_integral(mu, SmoothingParams(b_scale=3.0, m=1, r=1.0))
     assert abs(est.value - plain) < 1e-9
-    assert est.std_error == 0.0            # conditionals ignore the past
     assert est.value <= est.rhs + 1e-4
 
 
 def test_proof_chain_decay_and_refusals():
     gen = cantor3()
-    e0 = proof_chain_quantity(gen, k=0, m=1, samples=3, level=9, seed=2)
-    e4 = proof_chain_quantity(gen, k=4, m=1, samples=3, level=9, seed=2)
+    e0 = proof_chain_quantity(gen, k=0, m=1, level=9)
+    e4 = proof_chain_quantity(gen, k=4, m=1, level=9)
     assert e4.value < e0.value
     with pytest.raises(InputError):
-        proof_chain_quantity(bernoulli(2, [1.0, 0.0]), k=2, m=1,
-                             samples=2, level=8, seed=1)
+        proof_chain_quantity(bernoulli(2, [1.0, 0.0]), k=2, m=1, level=8)
     with pytest.raises(InputError):
-        proof_chain_quantity(gen, k=0, m=0, samples=2, level=9, seed=1)
+        proof_chain_quantity(gen, k=0, m=0, level=9)
 
 
 def test_proof_chain_runs_past_k6():
     gen = cantor3()
-    e6, e8 = (proof_chain_quantity(gen, k=k, m=1, samples=3, seed=2) for k in (6, 8))
+    e6, e8 = (proof_chain_quantity(gen, k=k, m=1) for k in (6, 8))
     assert e8.level == 9
     assert e8.value <= e8.rhs + 1e-4
     assert e8.value < e6.value
 
 
-def test_proof_chain_markov_samples_vary():
-    gen = markov(MARKOV_P)
-    est = proof_chain_quantity(gen, k=2, m=1, samples=24, level=10, seed=7)
+# a 3-state chain whose state 2 has pi = 0: its row never enters the average
+ZERO_PI_P, ZERO_PI = [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [0.3, 0.3, 0.4]], [2 / 7, 5 / 7, 0.0]
+
+
+@pytest.mark.parametrize("gen", [markov(MARKOV_P), markov(ZERO_PI_P, ZERO_PI)],
+                         ids=["2-state", "3-state-zero-pi"])
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_proof_chain_markov_is_the_exact_past_average(gen, k):
+    # value = sum_s pi_s lhs(s) and corr_term = sum_s pi_s corr(s), each
+    # conditional built here from the last symbol alone
+    a, level = gen.base, 9
+    conds = [conditional_on_past(gen, PastWord(a, (s,)), level) for s in range(a)]
+    lhs = [scaled_sq_integral(mu, SmoothingParams(b_scale=float(a), m=1, r=1.0),
+                              prescale=float(a) ** k) for mu in conds]
+    corr = [correlation_integral(mu, float(a) ** (-k / 2.0)) for mu in conds]
+    est = proof_chain_quantity(gen, k=k, m=1, level=level)
+    assert est.value == pytest.approx(float(np.dot(gen.pi, lhs)), rel=1e-15, abs=0.0)
+    assert est.corr_term == pytest.approx(float(np.dot(gen.pi, corr)), rel=1e-15, abs=0.0)
+    assert len(set(lhs)) == a               # every state's conditional differs
     assert est.value <= est.rhs + 1e-4
-    assert est.std_error >= 0.0
+
+
+def test_proof_chain_markov_agrees_with_sampled_pasts():
+    gen, k, level = markov(MARKOV_P), 2, 9
+    mean, se = proof_chain_monte_carlo(gen, k=k, m=1, level=level, samples=400, seed=11)
+    est = proof_chain_quantity(gen, k=k, m=1, level=level)
+    assert se > 0.0
+    assert abs(est.value - mean) <= 4.0 * se
 
 
 def test_host_experiment_small_run_deterministic():
