@@ -143,9 +143,12 @@ def _split_digits(value: int, base: int, length: int) -> np.ndarray:
 
 def make_point_from_digits(base: int, digits) -> UnitPoint:
     """Build the point with the given base-a digit word (most significant
-    first): 1-d integers, or floats that are all exactly integral.  Digits
-    are packed k to a uint64 word, then adjacent words are joined level by
-    level through the cached powers of the base, in near-linear time."""
+    first): 1-d integers, or floats that are all exactly integral.  For
+    base 2^j, j <= 64, each digit is spread into its j bits and the bits are
+    packed into the integer's bytes, in linear time (the inverse of
+    `_int_to_digits`).  Other bases pack digits k to a uint64 word, then
+    join adjacent words level by level through the cached powers of the
+    base, in near-linear time."""
     d = np.asarray(digits)
     integral = np.issubdtype(d.dtype, np.integer) or np.issubdtype(d.dtype, np.floating) and (
         np.isfinite(d).all() and (d == np.round(d)).all())
@@ -153,6 +156,14 @@ def make_point_from_digits(base: int, digits) -> UnitPoint:
         raise InputError(f"digit word must be a nonempty 1-d sequence of integers, got {d.dtype}")
     if d.min() < 0 or d.max() >= base:
         raise InputError(f"digits out of range [0, {base}): {d.min()}..{d.max()}")
+    j = base.bit_length() - 1
+    if not base & (base - 1) and j <= 64:
+        bits = np.zeros(-len(d) * j % 8 + len(d) * j, dtype=np.uint8)   # left-padded to bytes
+        cols = bits[len(bits) - len(d) * j:].reshape(len(d), j)
+        u = d.astype(np.min_scalar_type(base - 1))
+        for i in range(j):
+            cols[:, j - 1 - i] = u >> i & 1
+        return UnitPoint(base, len(d), int.from_bytes(np.packbits(bits).tobytes(), "big"))
     k = _digits_per_word(base)
     w = np.concatenate((np.zeros(-len(d) % k, np.uint64), d.astype(np.uint64))).reshape(-1, k)
     acc = w[:, 0]

@@ -305,9 +305,10 @@ def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[
     gen = opts.require("gen")
     if opts.require("b") < 2:       # checked and echoed only: the z-average does not read b
         raise InputError("b must be >= 2")
-    ks = opts.get("ks")
-    if not ks:
-        raise InputError("need at least one scale k in --ks")
+    ks = sorted(opts.get("ks"))     # rows and the decay check go by k, not by the order given
+    if not ks or len(set(ks)) < len(ks):
+        raise InputError("need at least one scale k in --ks, each given once: "
+                         "each k names one row")
     # --samples is checked and echoed only, and std_error is 0.0: the past average is exact
     samples = opts.require("samples")
     if samples < 1:

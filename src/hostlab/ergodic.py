@@ -189,6 +189,9 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
     gs = tuple(gs)
     if not js or not gs:
         raise InputError("need at least one frequency j and one test function g")
+    if len(set(js)) < len(js) or len({g.label for g in gs}) < len(gs):
+        raise InputError("frequencies j and test-function labels must be distinct: "
+                         "each (j, g) names one row")
     if any(g.base != gen.base for g in gs):
         raise InputError("test function base differs from the generator")
 

@@ -269,6 +269,27 @@ def orbit_character_sums(num: int, mod: int, b: int, freqs, checkpoints):
     return out
 
 
+def segment_character_sums(r: np.ndarray, freqs, checkpoints, chunk: int):
+    """Averages of e(m r_n 2^-53) at each ascending checkpoint from a read-out
+    array r, with one cos and one sin for every pair (m, n), summed over the
+    segments the library uses (ends at each checkpoint and each multiple of
+    `chunk`): at m = +-1 the library's one-cis-per-point sums equal these
+    bit for bit."""
+    taus = TAU * np.asarray(freqs, dtype=np.float64)
+    out = np.empty((len(checkpoints), len(taus)), dtype=np.complex128)
+    total = np.zeros(len(taus), dtype=np.complex128)
+    ends = sorted({*checkpoints, *range(chunk, checkpoints[-1], chunk)})
+    ci, lo = 0, 0
+    for hi in ends:
+        theta = np.multiply.outer(taus, r[lo:hi] * 2.0 ** -53)
+        total += (np.cos(theta) + 1j * np.sin(theta)).sum(axis=1)
+        if hi == checkpoints[ci]:
+            out[ci] = total / hi
+            ci += 1
+        lo = hi
+    return out
+
+
 def cylinder_phases(x, b: int, k: int, m: int, nprime, N: int) -> np.ndarray:
     """frac(m a^k b^n K_n / a^(n')) for n = 1..N, K_n the integer of the first
     n' digits of x, in exact integer arithmetic with one big division per

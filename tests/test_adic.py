@@ -76,6 +76,27 @@ def test_make_point_matches_digit_oracle(base):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("base", [2, 4, 8, 16, 256])
+def test_make_point_in_base_two_to_the_j_matches_digit_oracle(base):
+    # the bits are packed from bytes: lengths off a byte edge, leading zeros,
+    # all-zero and all-top words, and integral float digits
+    rng = np.random.default_rng(base)
+    for n in (1, 2, 3, 5, 7, 8, 9, 15, 17, 63, 65, 1001, 30_011):
+        words = [np.zeros(n, dtype=np.int64), np.full(n, base - 1, dtype=np.uint8),
+                 rng.integers(0, base, n)]
+        words.append(np.concatenate(([0] * min(n - 1, 9), words[-1][min(n - 1, 9):])))
+        for word in words:
+            want = digits_to_int([int(d) for d in word], base)
+            x = make_point_from_digits(base, word)
+            assert (x.precision, x.numerator) == (n, want)
+            assert make_point_from_digits(base, word.astype(np.float64)).numerator == want
+    for j in (9, 16, 63, 64, 65, 70):        # digits wider than a byte, and past a uint64
+        base = 2 ** j
+        word = [0, 2 ** min(j, 62) - 1, 1, 0, 5]
+        assert make_point_from_digits(base, word).numerator == digits_to_int(word, base)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
 def test_pow2_digits_match_word_split(j):
     base = 2 ** j

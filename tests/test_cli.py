@@ -207,6 +207,26 @@ def test_proof_chain_markov_rows_read_no_seed_and_no_samples(tmp_path):
     assert [float(r.split(",")[5]) for r in lines[1][2:]] == [0.0, 0.0]
 
 
+def test_proof_chain_repeated_k_is_config_error(tmp_path, capsys):
+    code = cli.main(["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", "2,2", "--seed", "1",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "each k names one row" in capsys.readouterr().err
+    assert not (tmp_path / "proof_chain.csv").exists()
+
+
+def test_proof_chain_rows_go_by_k_not_by_the_order_given(tmp_path):
+    # a correct decay given as --ks 4,2 is no warning, so --strict exits 0
+    def csv(ks):
+        out = tmp_path / ks.replace(",", "_")
+        assert cli.main(["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", ks, "--strict",
+                         "--seed", "1", "--out", str(out)]) == 0
+        return read_bytes(out / "proof_chain.csv")
+
+    assert csv("4,2") == csv("2,4")
+    assert [r.split(",")[0] for r in csv("4,2").decode().splitlines()[2:]] == ["2", "4"]
+
+
 @pytest.mark.parametrize("b", ["1", "-7"])
 def test_proof_chain_b_below_two_is_config_error(b, tmp_path, capsys):
     code = cli.main(["proof-chain", "--gen", "cantor3", "--b", b, "--ks", "0", "--seed", "1",
@@ -252,6 +272,18 @@ def test_time_change_run(tmp_path):
     lines = (tmp_path / "time_change.csv").read_text().splitlines()
     assert lines[1] == "j,g,re,im,z_score"
     assert len(lines) == 2 + 2
+
+
+@pytest.mark.parametrize("flag,value", [("--js", "1,1"), ("--gfuncs", "ind0,ind0"),
+                                        ("--gfuncs", "e1w2,e01w2")])
+def test_time_change_repeated_row_name_is_config_error(flag, value, tmp_path, capsys):
+    argv = {"--js": "0,1", "--gfuncs": "ind0"} | {flag: value}
+    code = cli.main(["time-change", "--gen", "uniform:2", "--theta", "log:2,3", "--N", "200",
+                     "--M", "2", "--seed", "1", "--out", str(tmp_path),
+                     *(item for kv in argv.items() for item in kv)])
+    assert code == 2
+    assert "each (j, g) names one row" in capsys.readouterr().err
+    assert not (tmp_path / "time_change.csv").exists()
 
 
 TC_FLAT = ["time-change", "--gen", "uniform:2", "--theta", "log:2,3", "--N", "500", "--M", "4",

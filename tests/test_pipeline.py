@@ -33,6 +33,7 @@ from oracles import (
     orbit_character_sums,
     orbit_readouts,
     proof_chain_monte_carlo,
+    segment_character_sums,
 )
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
@@ -117,11 +118,36 @@ def test_orbit_readouts_edge_cases():
 @pytest.mark.parametrize("a,b", [(3, 2), (2, 3), (2, 2)])
 def test_weyl_averages_match_per_step_loop_across_chunk_boundary(a, b):
     cps = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1)
-    freqs = (1, -2, 3)
+    freqs = (1, -1, 2, 3, -37, 64, 99, 1000)     # powers by products: error O(|m| 2^-53)
     x = _budget_point(a, b, cps[-1], seed=a + 7 * b)
     w = weyl_sum(x, b, freqs=freqs, checkpoints=cps)
     want = orbit_character_sums(x.numerator, x.denominator, b, freqs, cps)
     assert np.max(np.abs(w - want)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b", [(3, 2), (2, 3)])
+def test_weyl_negative_frequency_is_the_exact_conjugate(a, b):
+    cps = (_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1)
+    x = _budget_point(a, b, cps[-1], seed=3 * a + b)
+    w = weyl_sum(x, b, freqs=(1, -1, 2, -37, 3, -2, 37), checkpoints=cps)
+    for pos, neg in ((0, 1), (2, 5), (6, 3)):
+        assert w[:, neg].tobytes() == np.conj(w[:, pos]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b", [(3, 2), (2, 3), (2, 2)])
+def test_weyl_unit_frequencies_equal_the_per_pair_segment_sums_bit_for_bit(a, b):
+    # one cis per point: at m = +-1 the angle and the pairwise segment sums
+    # are those of the per-(m, n) form, so compare orbit averages keep every bit
+    cps = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 5 * _CHUNK + 3)
+    x = _budget_point(a, b, cps[-1], seed=5 * a + b)
+    freqs = (1, 2, -1, 3)
+    w = weyl_sum(x, b, freqs=freqs, checkpoints=cps)
+    r = _orbit_readouts(x.numerator, x.denominator, b, cps[-1])
+    want = segment_character_sums(r, freqs, cps, _CHUNK)
+    assert w[:, [0, 2]].tobytes() == want[:, [0, 2]].tobytes()
+    assert np.max(np.abs(w - want)) < 1e-14
 
 
 def test_weyl_rejects_repeated_checkpoints_and_frequencies():
