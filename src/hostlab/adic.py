@@ -10,7 +10,7 @@ its exact value.  The module also provides the time-change schedule
 n' = floor(alpha*n), z_n = alpha*n mod 1 for alpha = log b / log a, computed
 with a controlled number of bits so every floor is certified unambiguous.
 Floors come from exact 32-bit limbs of n*num (`_floor_multiples`), z_n and
-the guard from the remainder's top 64 bits (rare n exactly); mpmath is lazy.
+the guard from the remainder's top 64 bits (rare n exactly); alpha from decimal logs.
 
 Interval convention: all intervals are half-open [k/a^n, (k+1)/a^n); a point
 belongs to the atom whose left endpoint it is.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -230,7 +231,7 @@ class PrecisionBudget:
 
 def _floor_multiples(num: int, den: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """floor(num*n/den) (int64) and num*n mod den, n = 0..N: int64 divmod, or for den = 2^s
-    32-bit limbs of n*num*2^pad, floor on a limb edge; rem uint64 (s <= 64) or limbs * 2^pad."""
+    32-bit limbs of n*num*2^pad, floor on a limb edge and rem as its low limbs (rem * 2^pad)."""
     if N >= 1 << 32 or num * N // den >= 1 << 63:
         raise ResourceError(f"need N < 2^32 (limb products) and floors < 2^63, got N = {N}")
     if max(num * N, den) < 1 << 63:
@@ -246,7 +247,7 @@ def _floor_multiples(num: int, den: int, N: int) -> tuple[np.ndarray, np.ndarray
         limbs[i + 1] += limbs[i] >> 32
         limbs[i] &= 0xFFFFFFFF
     whole = (limbs[j] | limbs[j + 1] << 32).view(np.int64)
-    return whole, limbs[:j] if j > 2 else (limbs[0] | limbs[1] << 32) >> (64 - s)
+    return whole, limbs[:j]
 
 
 def _primitive_power_base(n: int) -> tuple[int, int]:
@@ -268,11 +269,11 @@ ALPHA_BITS = 128      # alpha is carried as floor(alpha * 2^ALPHA_BITS)
 
 
 @lru_cache(maxsize=None)
-def _log_ratio(a: int, b: int):
-    """log b / log a in mpmath at ALPHA_BITS + 48 bits, computed once per (a, b)."""
-    import mpmath
-    with mpmath.workprec(ALPHA_BITS + 48):
-        return mpmath.log(b) / mpmath.log(a)
+def _scaled_alpha(a: int, b: int) -> int:
+    """floor(alpha * 2^ALPHA_BITS) from correctly rounded 60-digit decimal logs, once per (a, b)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return int(Decimal(b).ln() / Decimal(a).ln() * (1 << ALPHA_BITS))
 
 
 def kronecker_schedule(a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +281,7 @@ def kronecker_schedule(a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     z(n) = alpha*n mod 1 (float64); every floor is certified to 2^-100.
 
     alpha = log b / log a is carried as floor(alpha * 2^ALPHA_BITS), from
-    ALPHA_BITS + 48 working bits, so the residues alpha*n mod 1 are exact
+    about ALPHA_BITS + 70 working bits, so the residues alpha*n mod 1 are exact
     integer arithmetic on that approximation.  If some alpha*n comes within
     2^-100 of an integer the schedule aborts rather than guess the floor.
     Multiplicatively dependent (a, b) make alpha rational: the schedule is
@@ -297,11 +298,8 @@ def kronecker_schedule(a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
         whole, rem = _floor_multiples(pb, pa, N)      # alpha = pb/pa exactly
         return whole, rem.astype(np.float64) / pa
 
-    import mpmath
-    with mpmath.workprec(ALPHA_BITS + 48):
-        scaled = int(mpmath.floor(_log_ratio(a, b) * mpmath.mpf(2) ** ALPHA_BITS))
     one = 1 << ALPHA_BITS
-    whole, rem = _floor_multiples(scaled, one, N)     # rem's 32-bit limbs
+    whole, rem = _floor_multiples(_scaled_alpha(a, b), one, N)     # rem's 32-bit limbs
     top = rem[-1] << 32 | rem[-2]                     # rem's leading 64 bits
     z = (top | (np.bitwise_or.reduce(rem[:-2], axis=0) != 0)).astype(np.float64) * 2.0 ** -64
     # top + sticky round like rem at >= 55 significant bits; else, or near an integer, exactly

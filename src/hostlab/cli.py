@@ -181,13 +181,16 @@ class Options:
     def get(self, key: str, reader=None):
         """The value, read by the table's reader, or by `reader` where the
         reading depends on another option; a value the reader cannot read,
-        or one outside the option's choices, is a config error."""
+        a float that is nan or infinite, or one outside the option's choices,
+        is a config error."""
         value = self.raw(key)
         if value is None:
             return None
         opt = self._table[key]
         try:
             read = (reader or opt.reader)(value)
+            if isinstance(read, float) and not math.isfinite(read):
+                raise ValueError("not a finite number")
             if opt.choices and read not in opt.choices:
                 raise ValueError(f"expected one of {', '.join(opt.choices)}")
             return read

@@ -10,9 +10,9 @@ uint64 array (`_orbit_readouts`), from one big division (recursive,
 when b = 2^j).  Only the characters are floats: one cos/sin per orbit point
 gives e(r_n 2^-53), its |m|-th power is a product of shared squares, and a
 Weyl average is within O(|m| 2^-53) of the exact one.  The comparison reads
-the same array for its orbit average and its cylinder phases: those are
-floats built from r_n and the digits of x, within O(m a^(k+1) 2^-53) of the
-exact ones.
+the same array for its orbit average and its cylinder phases, and the same
+kernel's read-outs of x's xa orbit for the cylinder tails: its phases are
+floats within O(m a^(k+1) 2^-53) of the exact ones.
 """
 
 from __future__ import annotations
@@ -186,9 +186,9 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     n-step pushforward (without it only the moduli agree).  Writing
     x = (K_n + t_n) / a^(n') and a^(z_n) = b^n / a^(n'), the phase is
     frac(m r_n 2^-53 - xi_n t_n), with r_n the exact read-out of T_b^n T_a^k x
-    from the orbit side's own array and t_n summed from J digits of x past
-    n' (a^-J < 2^-53 / a).  It is within O(m a^(k+1) 2^-53) of the exact
-    phase, the order of the float error xi_n already carries.  No weights are
+    from the orbit side's own array and t_n = frac(a^(n') x) read out the
+    same way, floor(2^53 t_n) 2^-53.  It is within O(m a^(k+1) 2^-53) of the
+    exact phase, the order of the float error xi_n already carries.  No weights are
     built; a level with a^level > 2^1022 raises PrecisionError before any orbit work.
     """
     a = gen.base
@@ -213,9 +213,7 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
 
     nprime, z = kronecker_schedule(a, b, N)
     nprime, z = nprime[1:], z[1:]                 # steps n = 1..N
-    # the budget's 64 guard digits cover the J tail digits past n'(N)
-    J = math.ceil(53 / math.log2(a)) + 1
-    count = int(nprime[-1]) + J
+    count = max(int(nprime[-1]), 1)
     xdig = _int_to_digits(x.numerator // _pow(a, x.precision - count), a, count).astype(np.int64)
     # each digit of the point's path has positive probability given the
     # past and the digits before it
@@ -227,9 +225,8 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     r = _orbit_readouts(y.numerator, y.denominator, b, N)
     orbit_avg = complex(_orbit_character_sums(r, (m,), (N,))[0, 0])
 
-    tails = np.zeros(len(xdig) - J + 1)           # t for every n' = 0..n'(N)
-    for j in range(J, 0, -1):
-        tails = (tails + xdig[j - 1:len(xdig) - J + j]) / a
+    # t for every n' = 0..n'(N): the exact read-outs of x's xa orbit, as those of x/a from n = 1
+    tails = _orbit_readouts(x.numerator, a * x.denominator, a, count + 1) * 2.0 ** -53
     xis = m * float(a) ** k * np.power(float(a), z)
     phases = m * (r * 2.0 ** -53) - xis * tails[nprime]
     phases -= np.floor(phases)                # before scaling by 2 pi

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hostlab import adic
 from hostlab.adic import (
     _DIV_CUTOFF,
     ALPHA_BITS,
@@ -263,9 +264,15 @@ def _assert_z_matches(got, want, N, bits):
         assert np.max(np.abs(got - want)) <= 2.0 ** -53 + N * 2.0 ** -min(bits, ALPHA_BITS)
 
 
+def _plant_scaled_alpha(monkeypatch, scaled):
+    """The library's and the step-loop oracle's alpha both set to scaled * 2^-128."""
+    monkeypatch.setattr(adic, "_scaled_alpha", lambda a, b: scaled)
+    monkeypatch.setattr(mpmath, "floor", lambda v: mpmath.mpf(scaled))
+
+
 def test_kronecker_ambiguous_floor_names_first_n(monkeypatch):
     # scaled alpha = 2^126 + 1 puts alpha*4 at 4 * 2^-128 past an integer
-    monkeypatch.setattr(mpmath, "floor", lambda v: mpmath.mpf(2 ** 126 + 1))
+    _plant_scaled_alpha(monkeypatch, 2 ** 126 + 1)
     for build in (kronecker_schedule, kronecker_tables):
         with pytest.raises(PrecisionError, match=r"alpha\*4 ambiguous at 128 bits$"):
             build(3, 2, 10)
@@ -273,10 +280,31 @@ def test_kronecker_ambiguous_floor_names_first_n(monkeypatch):
 
 def test_kronecker_ambiguous_floor_from_below(monkeypatch):
     # scaled alpha = 2^126 - 1 puts alpha*4 at 4 * 2^-128 below an integer
-    monkeypatch.setattr(mpmath, "floor", lambda v: mpmath.mpf(2 ** 126 - 1))
+    _plant_scaled_alpha(monkeypatch, 2 ** 126 - 1)
     for build in (kronecker_schedule, kronecker_tables):
         with pytest.raises(PrecisionError, match=r"alpha\*4 ambiguous at 128 bits$"):
             build(3, 2, 10)
+
+
+def test_scaled_alpha_matches_mpmath_floor():
+    # every independent pair up to 40: the 60-digit decimal floor is the
+    # 176-bit mpmath floor the schedule was first built from
+    pairs = [(a, b) for a in range(2, 41) for b in range(2, 41)
+             if not multiplicatively_dependent(a, b)]
+    assert len(pairs) > 1400
+    with mpmath.workprec(ALPHA_BITS + 48):
+        for a, b in pairs:
+            want = int(mpmath.floor(mpmath.log(b) / mpmath.log(a) * mpmath.mpf(2) ** ALPHA_BITS))
+            assert adic._scaled_alpha(a, b) == want, (a, b)
+
+
+def _remainders(rem, den):
+    """`_floor_multiples`'s remainders as exact ints: the int64 route's array,
+    or the limb route's 32-bit limbs of rem * 2^pad decoded."""
+    if rem.ndim == 1:
+        return rem.tolist()
+    pad = 32 * len(rem) - (den.bit_length() - 1)
+    return [sum(v << 32 * i for i, v in enumerate(col)) >> pad for col in rem.T.tolist()]
 
 
 def test_floor_multiples_exact():
@@ -287,7 +315,7 @@ def test_floor_multiples_exact():
         whole, rem = _floor_multiples(num, den, N)
         assert np.array_equal(whole.astype(np.int64),
                               [(num * n) // den for n in range(N + 1)])
-        assert rem.tolist() == [(num * n) % den for n in range(N + 1)]
+        assert _remainders(rem, den) == [(num * n) % den for n in range(N + 1)]
 
 
 @pytest.mark.parametrize("bits", [110, 128, 130, 256])
@@ -304,7 +332,7 @@ def test_kronecker_tables_bytes_at_any_float_bits(a, b, N, bits):
 @pytest.mark.parametrize("num,den,N", [
     (2 ** 40 + 3, 1, 10_000),                     # den = 1: the int64 route
     (10 ** 12 + 39, 3 ** 20, 10_000),             # den not a power of two
-    (3 ** 40, 2 ** 53, 10_000),                   # num*N >= 2^64: limbs, 1-d remainder
+    (3 ** 40, 2 ** 53, 10_000),                   # num*N >= 2^64: limbs, two-limb remainder
     (2 ** 64 - 1, 2 ** 64, 1 << 16),              # a full-word remainder
     (3 ** 90 + 1, 2 ** 130, 5000),                # remainder as limbs, s not a multiple of 32
     (5, 2 ** 100, 100),                           # num*N far below den
@@ -314,12 +342,8 @@ def test_floor_multiples_matches_object_oracle(num, den, N):
     ref_whole, ref_rem = floor_multiples(num, den, N)
     assert whole.dtype == np.int64 and whole.tolist() == ref_whole.tolist()
     if rem.ndim == 2:
-        s = den.bit_length() - 1
-        assert len(rem) == -(-s // 32)
-        rem = [sum(v << 32 * i for i, v in enumerate(col)) >> (-s % 32) for col in rem.T.tolist()]
-    else:
-        rem = rem.tolist()
-    assert rem == ref_rem.tolist()
+        assert len(rem) == -(-(den.bit_length() - 1) // 32)
+    assert _remainders(rem, den) == ref_rem.tolist()
 
 
 def test_floor_multiples_refuses_what_it_cannot_do_exactly():

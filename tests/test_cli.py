@@ -476,10 +476,21 @@ def test_parallel_map_preserves_order(monkeypatch):
     (["martingale", "--gen", "uniform:2", "--N", "100", "--trials", "2"],
      {"window_func": "cosine"}),
     (["controls"], {"mode": "neither"}),
+    (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100", "--samples", "1",
+      "--soft-median-threshold", "inf"], None),
+    (["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100", "--samples", "1"],
+     {"soft_median_threshold": float("nan")}),
+    (["time-change", "--gen", "uniform:2", "--theta", "nan"], None),
+    (["time-change", "--gen", "uniform:2", "--theta", "inf"], None),
+    (["time-change", "--gen", "uniform:2", "--theta", "log:2,3", "--beta", "nan"], None),
+    (["time-change", "--gen", "uniform:2", "--theta", "log:2,3", "--beta", "inf"], None),
+    (["time-change", "--gen", "uniform:2", "--theta", "log:inf,2"], None),
+    (["time-change", "--gen", "uniform:2"], {"theta": float("nan")}),
 ], ids=["theta-abc", "theta-log-one-arg", "theta-log-base-one", "checkpoints-1k",
         "config-samples-ten", "gfuncs-indx", "config-strict-string", "config-dat-number",
         "config-with-ratio-string", "config-battery-choice", "config-window-func-choice",
-        "config-mode-choice"])
+        "config-mode-choice", "soft-median-threshold-inf", "config-soft-median-threshold-nan",
+        "theta-nan", "theta-inf", "beta-nan", "beta-inf", "theta-log-inf", "config-theta-nan"])
 def test_malformed_option_value_is_config_error(argv, config, tmp_path, capsys):
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
@@ -583,6 +594,35 @@ def test_import_footprint_stays_numpy_and_stdlib(tmp_path):
     assert loaded["controls"] == loaded["equivariance"] == []
     assert "scipy.special" in loaded["proof-chain"]
     assert "scipy.integrate" not in loaded["proof-chain"]
+
+
+NO_MPMATH_PROBE = """
+import sys
+sys.modules["mpmath"] = None                    # any import of mpmath now fails
+import numpy as np
+import hostlab
+from hostlab import cli
+from hostlab.measures import sample_digits
+nprime, _ = hostlab.kronecker_schedule(3, 2, 1000)
+assert nprime[1000] == 630
+gen, N = hostlab.cantor3(), 300
+L = hostlab.PrecisionBudget.plan(3, 2, N).L
+x = hostlab.make_point_from_digits(3, sample_digits(gen, L, np.random.default_rng(1)))
+hostlab.orbit_vs_conditional_compare(gen, hostlab.PastWord(3, (0,)), x, 2, 0, 1, N)
+assert cli.main(["time-change", "--gen", "markov:0.9,0.1;0.5,0.5", "--theta", "log:2,3",
+                 "--N", "1000", "--M", "3", "--seed", "1", "--out", "tc"]) == 0
+print("ok")
+"""
+
+
+def test_library_and_cli_run_without_mpmath(tmp_path):
+    # mpmath is a test dependency only: the schedule, compare and time-change never import it
+    src = Path(hostlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", NO_MPMATH_PROBE], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"
 
 
 def test_scale_average_bytes_do_not_follow_blas_threads(tmp_path):
