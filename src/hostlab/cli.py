@@ -208,7 +208,7 @@ class Options:
 # ---------------------------------------------------------------------------
 
 def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, dict]:
-    threshold = opts.get("soft_median_threshold")
+    threshold, dat = opts.get("soft_median_threshold"), opts.get("dat")   # read before any output
     cfg = pipeline.HostExperimentConfig(
         gen=opts.require("gen"),
         b=opts.require("b"),
@@ -225,7 +225,7 @@ def run_weyl(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[int, di
                         float(mags[i, c, f])) for (i, c, f), w in np.ndenumerate(rep.W)])
     med = np.median(mags, axis=0).tolist()              # [checkpoint][freq]
     p90 = np.percentile(mags, 90, axis=0).tolist()
-    if opts.get("dat"):
+    if dat:
         header = (["N"] + [f"median_m{m}" for m in cfg.freqs]
                   + [f"p90_m{m}" for m in cfg.freqs])
         with open(out_dir / "weyl.dat", "w", encoding="utf-8", newline="") as fh:
@@ -281,7 +281,8 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
                       [(r["density"], r["t"], r["lhs"], r["rhs"], r["margin"],
                         r["ok"]) for r in c1_rows])
 
-    rows = fourier.smoothing_certificate(meas, ms, bs, rs, parallel_map=reports.parallel_map)
+    scale: list[dict] = []       # one dict of scale-average counts per (base, level)
+    rows = fourier.smoothing_certificate(meas, ms, bs, rs, reports.parallel_map, scale)
     reports.write_csv(out_dir / "fourier_cert.csv",
                       ["measure", "m", "b", "r", "lhs", "rhs", "margin", "ok"],
                       [(r["measure"], r["m"], r["b"], r["r"], r["lhs"],
@@ -294,7 +295,8 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
         "failures": len(bad),
         "all_ok": not bad,
         "diagnostics": {"worst_margin": {"c1": _worst_margin(c1_rows, ("density", "t")),
-                                         "smoothing": _worst_margin(rows, ("measure", "m", "b", "r"))}},
+                                         "smoothing": _worst_margin(rows, ("measure", "m", "b", "r"))},
+                        "scale_average": scale},
     }
 
 

@@ -86,9 +86,11 @@ def _conditional_table(gen: MeasureGen, f: DigitFunction) -> np.ndarray:
 
 
 def _word_indices(digits: np.ndarray, k: int, base: int) -> np.ndarray:
-    windows = np.lib.stride_tricks.sliding_window_view(digits, k)
-    powers = base ** np.arange(k - 1, -1, -1)
-    return windows @ powers
+    n = len(digits) - k + 1
+    words = digits[:n].astype(np.int64)
+    for j in range(1, k):                   # Horner over k shifted slices
+        words = words * base + digits[j:j + n]
+    return words
 
 
 def martingale_avg_experiment(gen: MeasureGen, f: DigitFunction,

@@ -23,16 +23,11 @@ integrals of s^(2j-1) cos(2Ds), each O(1).  Otherwise sin^2 s cos 2Ds = cos(2Ds)
 - cos((2D+2)s)/4 - cos((2D-2)s)/4 and each cosine integrates through Ci (DLMF 6.2,
 6.5), to about eps D/s0; at small s0 that split would cancel 1/s0^2 terms.
 
-R depends only on the measure and J_D only on (K, h, |m| p, b), so the
-smoothing certificate builds R once per measure for both sides and J once per
-(base, level, |m|, b).  Every caller forms s0 and the lag sum in
-`_scale_averages`, so a shared value is bit-equal to `scaled_sq_integral`.
-The lag sum is numpy's pairwise `np.sum(R * J)`, not the BLAS dot `R @ J`,
-whose summation order follows the BLAS thread count.
-
-scipy is imported inside the two functions that call it (`quad` in
-`c1_bound_check`, `sici` in `_lag_integrals`): at module level it took most
-of every subcommand's start-up, and only fourier-cert and proof-chain use it.
+J_D = F_L(b s0) - F_L(s0), L the series terms b s0 needs (L = 0: three cosines);
+`_lag_rows` evaluates F once per distinct endpoint and every L at once, on the lags
+where some R is non-zero (J is 0 elsewhere).  Callers form s0 and the pairwise
+`np.sum(R * J)` (a BLAS dot's order follows its threads) in `_scale_averages`, so
+shared values are bit-equal.  scipy is imported where called: it slowed start-up.
 """
 
 from __future__ import annotations
@@ -51,6 +46,7 @@ from .reports import derive_rng
 
 TAU = 2.0 * np.pi
 SLACK = 1e-4        # every certified inequality holds as lhs <= rhs + SLACK
+WAVE = 4            # endpoint rows per `parallel_map` call in `_lag_integral_vectors`
 
 
 # ---------------------------------------------------------------------------
@@ -227,50 +223,79 @@ class SmoothingParams:
             raise InputError("r must be positive")
 
 
-def _lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
-    """J_D of the module docstring for D = 0..K-1, as F(s1) - F(s0) with the
-    antiderivative F of the branch that s1 selects, at both ends at once."""
+def _lag_rows(s: float, lags: np.ndarray, coefs: dict) -> dict[int, np.ndarray]:
+    """F_L(s) on the sorted lags (lags[0] = 0) for each series coefs[L] of length L, or the
+    three-cosine form at L = 0; a smaller L's (qx, qy) is a prefix of the largest's chain."""
     from scipy.special import sici
-    s = np.array([s1, s0])
-    if s1 > 1.0:
+    s, rows = np.array([s]), {}
+    if 0 in coefs:
         # A_c = -cos(cs)/(2s^2) + c sin(cs)/(2s) - c^2 Ci(cs)/2 reads one rounded argument;
         # regrouping the three cosines by trig identities would lose about eps D^2
-        d = np.arange(1, K + 1, dtype=np.float64)[:, None]
+        d = np.arange(1, lags[-1] + 2, dtype=np.float64)
         x = (2.0 * s) * d
-        A = np.vstack((-0.5 / s ** 2,
-                       -np.cos(x) / (2.0 * s * s) + d * np.sin(x) / s - 2.0 * d * d * sici(x)[1]))
-        return (0.5 * A[:K] - 0.25 * A[1:] - 0.25 * A[np.abs(np.arange(K) - 1)]) @ [1.0, -1.0]
-    coef = [1.0]                      # sin^2 s/s^2 = sum_j coef[j] s^(2j), to 1e-17 at s1
-    while abs(coef[-1]) * s1 ** (2 * len(coef) - 2) >= 1e-17:
-        coef.append(coef[-1] * -4.0 / ((2 * len(coef) + 1) * (2 * len(coef) + 2)))
-    # Re exp(ics) (x_n + i y_n) integrates s^n cos(cs); each coef-weighted term is O(1).
-    # Rows s1, s0 update in place; dividing by c (not times 1/c) keeps tests/oracles.py's bits
-    c = 2.0 * np.arange(1, K, dtype=np.float64)
-    x, y, qx, qy, t = (np.zeros((2, K - 1)) for _ in range(5))
+        A = np.concatenate((-0.5 / s ** 2, -np.cos(x) / (2.0 * s * s) + d * np.sin(x) / s
+                            - 2.0 * d * d * sici(x)[1]))
+        rows[0] = 0.5 * A[lags] - 0.25 * A[lags + 1] - 0.25 * A[np.abs(lags - 1)]
+    if not any(coefs):
+        return rows
+    coef = coefs[max(coefs)]
+    # Re exp(ics) (x_n + i y_n) integrates s^n cos(cs); each coef-weighted term is O(1)
+    c = 2.0 * lags[1:]
+    ci, cos, sin = sici(s * c)[1], np.cos(s * c), np.sin(s * c)
+    lag0 = sici(2.0 * s)[1] - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
+    x, y, qx, qy, t = (np.zeros(len(c)) for _ in range(5))
     y[:] = -1.0 / c
     for n in range(1, 2 * len(coef) - 2):
         np.multiply(x, n, out=t)
-        t -= s[:, None] ** n
+        t -= s ** n
         np.multiply(y, -n, out=x)
         x /= c                                      # x <- -n y / c
         np.divide(t, c, out=y)                      # y <- (n x - s^n) / c
         if n % 2:
             qx += np.multiply(x, coef[(n + 1) // 2], out=t)
             qy += np.multiply(y, coef[(n + 1) // 2], out=t)
-    cs = s[:, None] * c
-    F = sici(cs)[1]
-    F += np.multiply(np.cos(cs, out=t), qx, out=t)
-    F -= np.multiply(np.sin(cs, out=t), qy, out=t)
-    lag0 = sici(2.0 * s)[1] - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
-    return np.concatenate(([lag0[0] - lag0[1]], F[0] - F[1]))
+            if (n + 3) // 2 in coefs:               # coef[(n + 1) // 2] ends that series
+                rows[(n + 3) // 2] = np.concatenate((lag0, ci + cos * qx - sin * qy))
+    return rows
 
 
-def _scale_averages(lags, h: float, m: int, b: float, prescale: float = 1.0) -> list[float]:
-    """(1/ln b) sum_D c_D R(D) J_D for each c_D R(D) in lags, all of one
-    length K and cell width h: J_D is computed once, shared, then dropped."""
-    s0 = math.pi * abs(m) * prescale * h
-    J = _lag_integrals(len(lags[0]), s0, b * s0)
-    return [float(np.sum(R * J)) / math.log(b) for R in lags]
+def _lag_integral_vectors(lags, ends, parallel_map=map, stats: dict | None = None):
+    """J of each (s0, s1) in ends, in order: F_L(s1) - F_L(s0) on the lags where some R
+    in lags is non-zero and 0 elsewhere, from one `_lag_rows` item per distinct endpoint,
+    WAVE items per `parallel_map` call; a row is dropped after the last pair that reads it."""
+    support = np.flatnonzero(np.any(lags, axis=0))
+    pairs, needs = [], {}
+    for s0, s1 in ends:
+        coef = [1.0] if s1 <= 1.0 else []   # sin^2 s/s^2 = sum_j coef[j] s^(2j), to 1e-17 at s1
+        while coef and abs(coef[-1]) * s1 ** (2 * len(coef) - 2) >= 1e-17:
+            coef.append(coef[-1] * -4.0 / ((2 * len(coef) + 1) * (2 * len(coef) + 2)))
+        pairs.append((s0, s1, len(coef)))
+        for s in (s0, s1):
+            needs.setdefault(s, {})[len(coef)] = coef
+    if stats is not None:
+        stats.update(K=len(lags[0]), lags=len(support), endpoints=len(needs),
+                     series_rows=sum(max(n) > 0 for n in needs.values()),
+                     three_cosine_rows=sum(0 in n for n in needs.values()), min_s0=min(ends)[0])
+    last = {(s, L): i for i, (s0, s1, L) in enumerate(pairs) for s in (s0, s1)}
+    order, rows = list(needs), {}
+    for i, (s0, s1, L) in enumerate(pairs):
+        while (s0, L) not in rows or (s1, L) not in rows:      # the next wave of rows
+            wave, order = order[:WAVE], order[WAVE:]
+            for s, out in zip(wave, parallel_map(lambda s: _lag_rows(s, support, needs[s]), wave)):
+                rows.update(((s, n), row) for n, row in out.items())
+        J = np.zeros(len(lags[0]))
+        J[support] = rows[s1, L] - rows[s0, L]
+        yield J
+        rows = {key: row for key, row in rows.items() if last[key] > i}
+
+
+def _scale_averages(lags, h: float, pairs, prescale: float = 1.0, parallel_map=map,
+                    stats: dict | None = None) -> list[list[float]]:
+    """(1/ln b) sum_D c_D R(D) J_D for each (m, b) in pairs and each c_D R(D) in lags,
+    all of one length K and cell width h."""
+    ends = [(math.pi * abs(m) * prescale * h, b) for m, b in pairs]
+    Js = _lag_integral_vectors(lags, [(s0, b * s0) for s0, b in ends], parallel_map, stats)
+    return [[float(np.sum(R * J)) / math.log(b) for R in lags] for (_, b), J in zip(ends, Js)]
 
 
 def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
@@ -279,8 +304,8 @@ def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
     closed form of the module docstring; c_D R(D) comes from `_lag_weights`."""
     if prescale <= 0:
         raise InputError("prescale must be positive")
-    return _scale_averages([_lag_weights(mu.weights)], mu.cell_width, params.m,
-                           params.b_scale, prescale)[0]
+    return _scale_averages([_lag_weights(mu.weights)], mu.cell_width,
+                           [(params.m, params.b_scale)], prescale)[0][0]
 
 
 def _scale_bound(params: SmoothingParams) -> float:
@@ -309,29 +334,30 @@ def default_measure_battery(seed: int = 20240) -> list[tuple[str, AdicMeasure]]:
     ]
 
 
-def smoothing_certificate(measures, ms, bs, rs, parallel_map=map) -> list[dict]:
+def smoothing_certificate(measures, ms, bs, rs, parallel_map=map,
+                          diagnostics: list | None = None) -> list[dict]:
     """One row per (measure, m, b, r): lhs, rhs, margin, ok.
 
-    One R per distinct measure serves its scale averages and every radius.
-    One `parallel_map` item per (base, level, |m|, b) computes J, gives each
-    measure of that group its lhs and drops J.  Each lhs is bit-equal to
-    `scaled_sq_integral` and each rhs to `smoothing_rhs` (module docstring).
+    One R per measure serves both sides; one `_scale_averages` call per (base, level)
+    serves every (|m|, b) and appends its counts to diagnostics, if given.  Each lhs is
+    bit-equal to `scaled_sq_integral` and each rhs to `smoothing_rhs` (module docstring).
     """
     measures = list(measures)
     grid = [SmoothingParams(b_scale=b, m=m, r=r) for m, b, r in itertools.product(ms, bs, rs)]
     if not grid:
         return []
     lags = {mu: _lag_weights(mu.weights) for _, mu in measures}
-    groups: dict[tuple, list] = {}
-    for mu, (m, b) in itertools.product(lags, dict.fromkeys((abs(p.m), p.b_scale) for p in grid)):
-        groups.setdefault((mu.base, mu.level, m, b), []).append(mu)
-
-    def group_lhs(item):
-        (_, _, m, b), mus = item
-        values = _scale_averages([lags[mu] for mu in mus], mus[0].cell_width, m, b)
-        return [((mu, m, b), v) for mu, v in zip(mus, values)]
-
-    lhs_by_key = dict(itertools.chain.from_iterable(parallel_map(group_lhs, groups.items())))
+    pairs = list(dict.fromkeys((abs(p.m), p.b_scale) for p in grid))
+    lhs_by_key = {}
+    for base, level in dict.fromkeys((mu.base, mu.level) for mu in lags):
+        mus = [mu for mu in lags if (mu.base, mu.level) == (base, level)]
+        stats = {"base": base, "level": level}
+        values = _scale_averages([lags[mu] for mu in mus], mus[0].cell_width, pairs, 1.0,
+                                 parallel_map, stats)
+        lhs_by_key.update(((mu, *key), v) for key, vals in zip(pairs, values)
+                          for mu, v in zip(mus, vals))
+        if diagnostics is not None:
+            diagnostics.append(stats)
     rows = []
     for label, mu in measures:
         corr = {r: _lag_correlation(lags[mu], mu.cell_width, r) for r in rs}

@@ -293,7 +293,7 @@ def proof_chain_quantity(gen: MeasureGen, k: int, m: int,
     # one c_D R(D) per measure for both sides; the values equal
     # scaled_sq_integral and correlation_integral bit for bit
     lags, h = [_lag_weights(mu.weights) for mu in mus], mus[0].cell_width
-    lhs = np.array(_scale_averages(lags, h, m, float(a), prescale))
+    lhs = np.array(_scale_averages(lags, h, [(m, float(a))], prescale)[0])
     corr = np.array([_lag_correlation(R, h, r) for R in lags])
 
     scale_term = 1.0 / (float(a) ** (k / 2.0) * abs(m) * math.log(a))

@@ -485,6 +485,13 @@ def exp_weyl_bound_check(alpha: float, j: int, N: int) -> tuple[float, float]:
     return float(lhs), float(1.0 / (2.0 * dist))
 
 
+def word_indices(digits: np.ndarray, k: int, base: int) -> np.ndarray:
+    """`hostlab.ergodic._word_indices` as it was: an int64 matmul of every
+    length-k window with the powers of the base."""
+    windows = np.lib.stride_tricks.sliding_window_view(digits, k)
+    return windows @ (base ** np.arange(k - 1, -1, -1, dtype=np.int64))
+
+
 def split_index_average(values, k: int):
     """Reassemble the full average from the k residue-class averages.
 

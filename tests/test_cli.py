@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -366,7 +367,7 @@ def _csv_rows(path):
 
 
 def test_default_fourier_cert_byte_identical_across_thread_counts(tmp_path, monkeypatch):
-    # the default battery's three base-2 level-14 measures share each J across pool items
+    # the default battery's measures share each endpoint row across pool items and waves
     outs = {}
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
@@ -391,6 +392,34 @@ def test_fourier_cert_summary_names_the_worst_margin_rows(battery, tmp_path):
         assert worst[cert]["margin"] == float(low["margin"])
         assert worst[cert]["margin"] == min(float(r["margin"]) for r in rows)
         assert {k: reports.fmt(worst[cert][k]) for k in names} == {k: low[k] for k in names}
+
+
+@pytest.mark.parametrize("battery, blocks", [
+    ("quick", [(3, 7, 1094, 3)]),
+    ("default", [(2, 14, 2 ** 14, 19), (3, 9, 9842, 19)]),
+])
+def test_fourier_cert_summary_counts_the_scale_average_work(battery, blocks, tmp_path):
+    # per (base, level): lags where some R != 0 (half of cantor3's), distinct endpoints
+    # pi |m| h and b pi |m| h, and one row each on the series branch at these s
+    assert cli.main(["fourier-cert", "--battery", battery, "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "fourier_cert_summary.json").read_text())[
+        "diagnostics"]["scale_average"]
+    assert got == [{"base": a, "level": n, "K": a ** n, "lags": lags, "endpoints": ends,
+                    "series_rows": ends, "three_cosine_rows": 0,
+                    "min_s0": math.pi * 1 * 1.0 * float(a) ** -n}
+                   for a, n, lags, ends in blocks]
+
+
+def test_weyl_bad_dat_value_leaves_no_output(tmp_path, capsys):
+    # every option is read before the experiment runs, so a config error writes nothing
+    (tmp_path / "run.json").write_text(json.dumps({"dat": 1}))
+    out = tmp_path / "out"
+    assert cli.main(["weyl", "--gen", "cantor3", "--b", "2", "--checkpoints", "100",
+                     "--samples", "1", "--seed", "1", "--config", str(tmp_path / "run.json"),
+                     "--out", str(out)]) == 2
+    assert "bad value 1 for --dat" in capsys.readouterr().err
+    assert not (out / "weyl.csv").exists() and not list(out.glob("*"))
 
 
 def test_weyl_summary_carries_the_precision_budget(tmp_path, monkeypatch):

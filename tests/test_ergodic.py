@@ -8,6 +8,7 @@ from hostlab.errors import InputError, ResourceError
 from hostlab.ergodic import (
     DigitFunction,
     _conditional_table,
+    _word_indices,
     character_on_digits,
     first_digit_indicator,
     first_digit_sign,
@@ -16,8 +17,8 @@ from hostlab.ergodic import (
     parity_window,
     time_change_joint_experiment,
 )
-from hostlab.measures import bernoulli, cantor3, markov, realize, uniform
-from oracles import exp_weyl_bound_check, split_index_average
+from hostlab.measures import bernoulli, cantor3, markov, realize, sample_digits, uniform
+from oracles import exp_weyl_bound_check, split_index_average, word_indices
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 LOG23 = math.log(2) / math.log(3)
@@ -65,6 +66,16 @@ def test_iid_conditional_table_is_the_mean():
             cond = _conditional_table(gen, f)
             assert np.all(cond == cond[0])
             assert abs(cond[0] - f.integral(gen).real) < 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_word_indices_equal_the_matmul_oracle(k):
+    # Horner over shifted slices and the windowed matmul are exact integer sums
+    for gen, n in ((markov(MARKOV_P), 2003), (cantor3(), 500), (uniform(5), 37)):
+        digits = sample_digits(gen, n, np.random.default_rng(k))
+        got, want = _word_indices(digits, k, gen.base), word_indices(digits, k, gen.base)
+        assert got.dtype == np.int64 and got.shape == (n - k + 1,)
+        assert np.array_equal(got, want), (gen.base, k)
 
 
 def test_digit_function_keeps_real_tables_real():

@@ -8,7 +8,8 @@ from hostlab import fourier
 from hostlab.errors import InputError, QuadratureError, ResourceError
 from hostlab.fourier import (
     SmoothingParams,
-    _lag_integrals,
+    _lag_integral_vectors,
+    _lag_rows,
     _structured_phase_sum,
     c1_bound_check,
     c1_certificate,
@@ -362,7 +363,7 @@ def test_lag_integrals_against_mpmath(s0, b):
     # series terms are O(1) each; the three-cosine split loses about eps D / s0
     s1 = b * s0
     eps = np.finfo(np.float64).eps
-    got = fourier._lag_integrals(8001, s0, s1)
+    got = next(_lag_integral_vectors([np.ones(8001)], [(s0, s1)]))
     with mpmath.workdps(30):
         for D in (0, 1, 1000, 8000):
             want = _lag_integral_mp(D, s0, s1)
@@ -374,11 +375,24 @@ def test_lag_integrals_against_mpmath(s0, b):
                 assert abs(direct - want) < 1e-20, D
 
 
-def _lag_integral_args(measures, ms, bs):
-    """(K, s0, b s0) of each distinct (base, level, |m|, b), s0 formed as the library does."""
-    keys = {(mu.base, mu.level, abs(m), b) for _, mu in measures for m in ms for b in bs}
-    return [(a ** n, s0, b * s0) for a, n, m, b in keys
-            for s0 in [math.pi * m * 1.0 * float(a) ** -n]]
+def _endpoint_rows(measures, ms, bs):
+    """(s, support) of each distinct endpoint s = pi |m| h or b pi |m| h of each (base,
+    level), s formed as the library does; the support is where some R of it is non-zero."""
+    out = []
+    for key in dict.fromkeys((mu.base, mu.level) for _, mu in measures):
+        mus = [mu for _, mu in measures if (mu.base, mu.level) == key]
+        support = np.flatnonzero(np.any([_lag_weights(mu.weights) for mu in mus], axis=0))
+        s0s = {math.pi * abs(m) * 1.0 * mus[0].cell_width for m in ms}
+        out += [(s, support.tobytes()) for s in {s for s0 in s0s for b in bs for s in (s0, b * s0)}]
+    return out
+
+
+def _count_rows(monkeypatch, calls):
+    def counted(s, lags, coefs):
+        calls.append((s, lags.tobytes(), tuple(sorted(coefs))))
+        return _lag_rows(s, lags, coefs)
+
+    monkeypatch.setattr(fourier, "_lag_rows", counted)
 
 
 def test_smoothing_certificate_shares_lhs_across_signs_and_radii(monkeypatch):
@@ -386,15 +400,12 @@ def test_smoothing_certificate_shares_lhs_across_signs_and_radii(monkeypatch):
     ms, bs, rs = [1, -1, -2, 2, 3], [2.0, math.e], [3.0 ** -j for j in (1, 3)]
     calls = []
 
-    def counted(K, s0, s1):
-        calls.append((K, s0, s1))
-        return _lag_integrals(K, s0, s1)
-
-    # one J per (base, level, |m|, b): both signs of m and every r share it
-    monkeypatch.setattr(fourier, "_lag_integrals", counted)
+    # one lag-integral row per distinct endpoint of each (base, level), on its support
+    # lags only: both signs of m, every r and every pair that meets at s share it
+    _count_rows(monkeypatch, calls)
     rows = smoothing_certificate(measures, ms, bs, rs)
     monkeypatch.undo()
-    assert sorted(calls) == sorted(_lag_integral_args(measures, ms, bs))
+    assert sorted(c[:2] for c in calls) == sorted(_endpoint_rows(measures, ms, bs))
     by_label = dict(measures)
     by_key = {(r["measure"], r["m"], r["b"], r["r"]): r for r in rows}
     assert len(by_key) == len(rows) == 2 * 5 * 2 * 2
@@ -410,39 +421,73 @@ def test_smoothing_certificate_shares_lhs_across_signs_and_radii(monkeypatch):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("K", [1, 2, 3, 729, 16384, 19683])
 def test_lag_integrals_equal_the_broadcast_oracle(K):
-    # s1 = b s0 on both sides of 1 selects both branches; the battery's s0 = pi |m| h too
+    # s1 = b s0 on both sides of 1 selects both branches; the battery's s0 = pi |m| h too.
+    # All pairs share one pass, so pairs that meet at an endpoint share its row
     cases = [(math.pi * m * 1.0 * h, b) for m in range(1, 9) for h in (2.0 ** -14, 3.0 ** -9)
              for b in (2.0, 10.0)]
     cases += [(0.3, 2.0), (0.45, 2.0), (0.5, 2.0), (0.3, 3.0 + 1e-9), (0.35, 3.0), (0.6, 10.0)]
     assert {b * s0 > 1.0 for s0, b in cases} == {False, True}
-    for s0, b in cases:
-        got, want = _lag_integrals(K, s0, b * s0), lag_integrals(K, s0, b * s0)
-        assert got.shape == want.shape == (K,)
-        assert np.array_equal(got, want), (K, s0, b)
+    got = list(_lag_integral_vectors([np.ones(K)], [(s0, b * s0) for s0, b in cases]))
+    assert len(got) == len(cases)
+    for (s0, b), J in zip(cases, got):
+        want = lag_integrals(K, s0, b * s0)
+        assert J.shape == want.shape == (K,)
+        assert np.array_equal(J, want), (K, s0, b)
+
+
+def test_lag_integral_vectors_equal_the_oracle_on_the_support(monkeypatch):
+    # cantor3 and its cylinder have R = 0 on every odd lag; pi 2 h is b s0 of (m = 1, b = 2)
+    # and s0 of (m = 2, b = 10), pairs that need different series term counts
+    mus = [realize(cantor3(), 6), cylinder_condition(realize(cantor3(), 7), word(3, [2]))]
+    assert {(mu.level, mu.cell_width) for mu in mus} == {(6, 3.0 ** -6)}
+    lags = [_lag_weights(mu.weights) for mu in mus]
+    K, h = 3 ** 6, 3.0 ** -6
+    support = np.flatnonzero(np.any(lags, axis=0))
+    off = np.setdiff1d(np.arange(K), support)
+    assert len(off) > 0 and all(not R[off].any() for R in lags)
+    ends = [(math.pi * m * 1.0 * h, b * (math.pi * m * 1.0 * h))
+            for m in (1, 2, 40, 150, 400) for b in (2.0, 10.0)]
+    assert {s1 > 1.0 for _, s1 in ends} == {False, True}
+    calls = []
+    _count_rows(monkeypatch, calls)
+    got = list(_lag_integral_vectors(lags, ends))
+    monkeypatch.undo()
+    assert len(got) == len(ends)
+    for (s0, s1), J in zip(ends, got):
+        want = lag_integrals(K, s0, s1)
+        assert np.array_equal(J[support], want[support]), (s0, s1)
+        assert np.all(J[off] == 0.0), (s0, s1)
+    # one row per distinct endpoint, on the support; the shared one takes both term counts
+    assert sorted(s for s, _, _ in calls) == sorted({s for e in ends for s in e})
+    assert all(lags_ == support.tobytes() for _, lags_, _ in calls)
+    shared = [terms for s, _, terms in calls if s == ends[2][0]]
+    assert shared == [terms for s, _, terms in calls if s == ends[0][1]]
+    assert len(shared[0]) == 2 and 0 not in shared[0]
+    assert any(0 in terms for _, _, terms in calls)
 
 
 def test_default_battery_certificate_rows_equal_the_per_row_functions(monkeypatch):
-    # the CLI's default grid; three base-2 level-14 measures share each J
+    # the CLI's default grid; three base-2 level-14 measures share each row
     measures = default_measure_battery(7)
     ms = [m for mm in range(1, 9) for m in (mm, -mm)]
     bs, rs = [2.0, 10.0], [3.0 ** -j for j in range(1, 7)]
-    weight_calls, lag_calls = [], []
+    weight_calls, row_calls = [], []
 
     def count_weights(w):
         weight_calls.append(id(w))
         return _lag_weights(w)
 
-    def count_lags(K, s0, s1):
-        lag_calls.append((K, s0, s1))
-        return _lag_integrals(K, s0, s1)
-
     monkeypatch.setattr(fourier, "_lag_weights", count_weights)
-    monkeypatch.setattr(fourier, "_lag_integrals", count_lags)
+    _count_rows(monkeypatch, row_calls)
     rows = smoothing_certificate(measures, ms, bs, rs)
     monkeypatch.undo()
     assert sorted(weight_calls) == sorted(id(mu.weights) for _, mu in measures)
-    assert sorted(lag_calls) == sorted(_lag_integral_args(measures, ms, bs))
-    assert len(lag_calls) == 2 * 8 * 2 and len(rows) == 4 * 16 * 2 * 6
+    # 19 distinct endpoints per (base, level), not 2 per (|m|, b) group; cantor3's
+    # level-9 rows cover only its 9,842 lags with R != 0
+    assert sorted(c[:2] for c in row_calls) == sorted(_endpoint_rows(measures, ms, bs))
+    assert len(row_calls) == 2 * 19 and len(rows) == 4 * 16 * 2 * 6
+    assert sorted(len(np.frombuffer(c[1], dtype=np.int64)) for c in row_calls) == \
+        [9842] * 19 + [16384] * 19
     by_label = dict(measures)
     lhs = {}
     for row in rows:
