@@ -282,7 +282,7 @@ def run_fourier_cert(opts: Options, out_dir: Path, warnings: list[str]) -> tuple
                         r["ok"]) for r in c1_rows])
 
     scale: list[dict] = []       # one dict of scale-average counts per (base, level)
-    rows = fourier.smoothing_certificate(meas, ms, bs, rs, reports.parallel_map, scale)
+    rows = fourier.smoothing_certificate(meas, ms, bs, rs, scale)
     reports.write_csv(out_dir / "fourier_cert.csv",
                       ["measure", "m", "b", "r", "lhs", "rhs", "margin", "ok"],
                       [(r["measure"], r["m"], r["b"], r["r"], r["lhs"],
@@ -318,8 +318,9 @@ def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[
     samples = opts.require("samples")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    ests = [pipeline.proof_chain_quantity(gen, k=k, m=opts.get("m"), level=opts.get("level"))
-            for k in ks]
+    scale: list[dict] = []       # one dict of scale-average counts per k
+    ests = [pipeline.proof_chain_quantity(gen, k=k, m=opts.get("m"), level=opts.get("level"),
+                                          diagnostics=scale) for k in ks]
     rows = [(e.k, e.m, samples, e.level, e.value, 0.0,
              e.scale_term, e.corr_term, e.rhs, e.value <= e.rhs + fourier.SLACK)
             for e in ests]
@@ -335,6 +336,7 @@ def run_proof_chain(opts: Options, out_dir: Path, warnings: list[str]) -> tuple[
         "values": [e.value for e in ests],
         "rhs": [e.rhs for e in ests],
         "all_bounded": not hard_bad,
+        "diagnostics": {"scale_average": scale},
     }
 
 
@@ -547,7 +549,6 @@ def main(argv=None) -> int:
         opts = Options(args, {**COMMON, **OPTIONS[sub]})
         opts.require("seed")
         strict = opts.get("strict")
-        reports.thread_count()      # a bad HOSTLAB_THREADS is exit 2 on any subcommand
         out_dir = Path(opts.get("out"))
         out_dir.mkdir(parents=True, exist_ok=True)
         warnings: list[str] = []

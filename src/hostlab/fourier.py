@@ -46,7 +46,6 @@ from .reports import derive_rng
 
 TAU = 2.0 * np.pi
 SLACK = 1e-4        # every certified inequality holds as lhs <= rhs + SLACK
-WAVE = 4            # endpoint rows per `parallel_map` call in `_lag_integral_vectors`
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +258,10 @@ def _lag_rows(s: float, lags: np.ndarray, coefs: dict) -> dict[int, np.ndarray]:
     return rows
 
 
-def _lag_integral_vectors(lags, ends, parallel_map=map, stats: dict | None = None):
+def _lag_integral_vectors(lags, ends, stats: dict | None = None):
     """J of each (s0, s1) in ends, in order: F_L(s1) - F_L(s0) on the lags where some R
-    in lags is non-zero and 0 elsewhere, from one `_lag_rows` item per distinct endpoint,
-    WAVE items per `parallel_map` call; a row is dropped after the last pair that reads it."""
+    in lags is non-zero and 0 elsewhere.  A plain loop: an endpoint's `_lag_rows` row is
+    computed the first time a pair needs it and dropped after the last pair that reads it."""
     support = np.flatnonzero(np.any(lags, axis=0))
     pairs, needs = [], {}
     for s0, s1 in ends:
@@ -276,25 +275,22 @@ def _lag_integral_vectors(lags, ends, parallel_map=map, stats: dict | None = Non
         stats.update(K=len(lags[0]), lags=len(support), endpoints=len(needs),
                      series_rows=sum(max(n) > 0 for n in needs.values()),
                      three_cosine_rows=sum(0 in n for n in needs.values()), min_s0=min(ends)[0])
-    last = {(s, L): i for i, (s0, s1, L) in enumerate(pairs) for s in (s0, s1)}
-    order, rows = list(needs), {}
+    last, rows = {s: i for i, (s0, s1, _) in enumerate(pairs) for s in (s0, s1)}, {}
     for i, (s0, s1, L) in enumerate(pairs):
-        while (s0, L) not in rows or (s1, L) not in rows:      # the next wave of rows
-            wave, order = order[:WAVE], order[WAVE:]
-            for s, out in zip(wave, parallel_map(lambda s: _lag_rows(s, support, needs[s]), wave)):
-                rows.update(((s, n), row) for n, row in out.items())
+        for s in {s0, s1} - rows.keys():
+            rows[s] = _lag_rows(s, support, needs[s])
         J = np.zeros(len(lags[0]))
-        J[support] = rows[s1, L] - rows[s0, L]
+        J[support] = rows[s1][L] - rows[s0][L]
         yield J
-        rows = {key: row for key, row in rows.items() if last[key] > i}
+        rows = {s: row for s, row in rows.items() if last[s] > i}
 
 
-def _scale_averages(lags, h: float, pairs, prescale: float = 1.0, parallel_map=map,
+def _scale_averages(lags, h: float, pairs, prescale: float = 1.0,
                     stats: dict | None = None) -> list[list[float]]:
     """(1/ln b) sum_D c_D R(D) J_D for each (m, b) in pairs and each c_D R(D) in lags,
     all of one length K and cell width h."""
     ends = [(math.pi * abs(m) * prescale * h, b) for m, b in pairs]
-    Js = _lag_integral_vectors(lags, [(s0, b * s0) for s0, b in ends], parallel_map, stats)
+    Js = _lag_integral_vectors(lags, [(s0, b * s0) for s0, b in ends], stats)
     return [[float(np.sum(R * J)) / math.log(b) for R in lags] for (_, b), J in zip(ends, Js)]
 
 
@@ -334,8 +330,7 @@ def default_measure_battery(seed: int = 20240) -> list[tuple[str, AdicMeasure]]:
     ]
 
 
-def smoothing_certificate(measures, ms, bs, rs, parallel_map=map,
-                          diagnostics: list | None = None) -> list[dict]:
+def smoothing_certificate(measures, ms, bs, rs, diagnostics: list | None = None) -> list[dict]:
     """One row per (measure, m, b, r): lhs, rhs, margin, ok.
 
     One R per measure serves both sides; one `_scale_averages` call per (base, level)
@@ -352,8 +347,7 @@ def smoothing_certificate(measures, ms, bs, rs, parallel_map=map,
     for base, level in dict.fromkeys((mu.base, mu.level) for mu in lags):
         mus = [mu for mu in lags if (mu.base, mu.level) == (base, level)]
         stats = {"base": base, "level": level}
-        values = _scale_averages([lags[mu] for mu in mus], mus[0].cell_width, pairs, 1.0,
-                                 parallel_map, stats)
+        values = _scale_averages([lags[mu] for mu in mus], mus[0].cell_width, pairs, 1.0, stats)
         lhs_by_key.update(((mu, *key), v) for key, vals in zip(pairs, values)
                           for mu, v in zip(mus, vals))
         if diagnostics is not None:

@@ -263,8 +263,8 @@ class ProofChainEstimate:
     rhs: float
 
 
-def proof_chain_quantity(gen: MeasureGen, k: int, m: int,
-                         level: int | None = None) -> ProofChainEstimate:
+def proof_chain_quantity(gen: MeasureGen, k: int, m: int, level: int | None = None,
+                         diagnostics: list | None = None) -> ProofChainEstimate:
     """The average over stationary pasts of int_0^1 |F_m(S_{a^z} S_{a^k} mu_past)|^2 dz.
 
     The z-integral is the scale-smoothing quantity with scale base a and
@@ -272,7 +272,8 @@ def proof_chain_quantity(gen: MeasureGen, k: int, m: int,
     correlation integral of the unscaled conditional at radius a^(-k/2).
     A conditional depends on its past only through the most recent symbol s,
     whose law is pi, so both averages are exact sums over the states with
-    pi_s > 0; states with one conditional law share one evaluation.
+    pi_s > 0; states with one conditional law share one evaluation.  The
+    scale average's counts (`smoothing_certificate`'s, with k) go to diagnostics.
     """
     a = gen.base
     if m == 0:
@@ -293,7 +294,10 @@ def proof_chain_quantity(gen: MeasureGen, k: int, m: int,
     # one c_D R(D) per measure for both sides; the values equal
     # scaled_sq_integral and correlation_integral bit for bit
     lags, h = [_lag_weights(mu.weights) for mu in mus], mus[0].cell_width
-    lhs = np.array(_scale_averages(lags, h, [(m, float(a))], prescale)[0])
+    stats = {"k": k, "base": a, "level": level}
+    lhs = np.array(_scale_averages(lags, h, [(m, float(a))], prescale, stats)[0])
+    if diagnostics is not None:
+        diagnostics.append(stats)
     corr = np.array([_lag_correlation(R, h, r) for R in lags])
 
     scale_term = 1.0 / (float(a) ** (k / 2.0) * abs(m) * math.log(a))
@@ -342,8 +346,8 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     from the measure at that resolution.  a and b multiplicatively dependent
     does not abort the run; the report is labeled a negative control.  No
     equidistribution rate is asserted here.
-    Samples go through `parallel_map` (default: in order); the CLI keeps the
-    default: big-int set-up and the read-out scan hold the GIL, and at paper
+    Samples go through `parallel_map` (default: in order), which every CLI
+    run keeps: big-int set-up and the read-out scan hold the GIL, and at paper
     scale (2-vCPU VM, three runs each) 2 threads took 1.13-1.16 s against
     1.10-1.31 s in order.
     """

@@ -87,9 +87,9 @@ def thread_count() -> int:
 
 
 def parallel_map(fn, items):
-    """Order-preserving map over independent work units, capped by
-    HOSTLAB_THREADS.  Results are identical to the sequential map for any
-    thread count; only wall time changes."""
+    """Order-preserving map over independent work units, capped by HOSTLAB_THREADS;
+    the results equal the sequential map's at any thread count.  A library helper:
+    no CLI subcommand calls it, so none reads HOSTLAB_THREADS."""
     items = list(items)
     n = thread_count()
     if n <= 1 or len(items) < 2:

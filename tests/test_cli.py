@@ -367,16 +367,15 @@ def _csv_rows(path):
 
 
 def test_default_fourier_cert_byte_identical_across_thread_counts(tmp_path, monkeypatch):
-    # the default battery's measures share each endpoint row across pool items and waves
     outs = {}
-    for threads in (1, 2):
+    for threads in ("1", "zebra"):
         out = tmp_path / f"t{threads}"
-        monkeypatch.setenv("HOSTLAB_THREADS", str(threads))
+        monkeypatch.setenv("HOSTLAB_THREADS", threads)
         assert cli.main(["fourier-cert", "--battery", "default", "--seed", "7",
                          "--out", str(out)]) == 0
         outs[threads] = out
     for name in ("fourier_cert.csv", "c1_cert.csv", "fourier_cert_summary.json"):
-        assert read_bytes(outs[1] / name) == read_bytes(outs[2] / name), name
+        assert read_bytes(outs["1"] / name) == read_bytes(outs["zebra"] / name), name
 
 
 @pytest.mark.parametrize("battery", ["quick", "default"])
@@ -411,6 +410,18 @@ def test_fourier_cert_summary_counts_the_scale_average_work(battery, blocks, tmp
                    for a, n, lags, ends in blocks]
 
 
+def test_proof_chain_summary_counts_the_scale_average_work(tmp_path):
+    # cantor3's default level is 8 at k = 0 and 2; its one conditional law has R != 0 on
+    # 3,281 of 3^8 lags, and the endpoints pi 3^k h and 3 pi 3^k h are on the series branch
+    assert cli.main(["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", "0,2",
+                     "--seed", "7", "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "proof_chain_summary.json").read_text())[
+        "diagnostics"]["scale_average"]
+    assert got == [{"k": k, "base": 3, "level": 8, "K": 3 ** 8, "lags": 3281, "endpoints": 2,
+                    "series_rows": 2, "three_cosine_rows": 0,
+                    "min_s0": math.pi * 1 * 3.0 ** k * 3.0 ** -8} for k in (0, 2)]
+
+
 def test_weyl_bad_dat_value_leaves_no_output(tmp_path, capsys):
     # every option is read before the experiment runs, so a config error writes nothing
     (tmp_path / "run.json").write_text(json.dumps({"dat": 1}))
@@ -441,7 +452,7 @@ def test_weyl_summary_carries_the_precision_budget(tmp_path, monkeypatch):
     assert 3 ** (plan.L - 64) >= 2 ** 1500 > 3 ** (plan.L - 65)
 
 
-def test_only_fourier_cert_uses_the_thread_pool(tmp_path, monkeypatch):
+def test_no_subcommand_uses_the_thread_pool(tmp_path, monkeypatch):
     calls = []
 
     def spy(fn, items):
@@ -459,20 +470,29 @@ def test_only_fourier_cert_uses_the_thread_pool(tmp_path, monkeypatch):
         "time-change": ["time-change", "--gen", markov, "--theta", "log:2,3",
                         "--N", "500", "--M", "2"],
         "fourier-cert": ["fourier-cert", "--battery", "quick"],
+        "fourier-cert-default": ["fourier-cert", "--battery", "default"],
+        "proof-chain": ["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", "0,2"],
+        "equivariance": ["equivariance", "--pairs", "3"],
     }
     for name, argv in runs.items():
-        calls.clear()
         assert cli.main([*argv, "--seed", "3", "--out", str(tmp_path / name)]) == 0
-        assert bool(calls) == (name == "fourier-cert"), name
+        assert calls == [], name
 
 
 @pytest.mark.parametrize("argv", [
     ["weyl", "--gen", "cantor3", "--b", "2", "--samples", "1", "--checkpoints", "100"],
     ["martingale", "--gen", "bernoulli:0.5,0.5", "--N", "100", "--trials", "2"],
     ["equivariance", "--pairs", "2"]])
-def test_bad_thread_env_is_config_error_everywhere(argv, tmp_path, monkeypatch):
+def test_bad_thread_env_is_ignored_everywhere(argv, tmp_path, monkeypatch):
+    # no subcommand reads HOSTLAB_THREADS: only the library helper reports.parallel_map does
+    monkeypatch.delenv("HOSTLAB_THREADS", raising=False)
+    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path / "unset")]) == 0
     monkeypatch.setenv("HOSTLAB_THREADS", "zebra")
-    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path / "zebra")]) == 0
+    names = sorted(p.name for p in (tmp_path / "unset").iterdir())
+    assert names and names == sorted(p.name for p in (tmp_path / "zebra").iterdir())
+    for name in names:
+        assert read_bytes(tmp_path / "unset" / name) == read_bytes(tmp_path / "zebra" / name), name
 
 
 def test_character_table_over_budget_exits_3(tmp_path, capsys):
@@ -599,12 +619,14 @@ def test_write_json_refuses_non_finite_values(value, tmp_path):
 IMPORT_PROBE = """
 import json, sys
 import hostlab.cli
-heavy = ("scipy", "scipy.special", "scipy.integrate", "mpmath", "concurrent.futures")
+heavy = ("scipy", "scipy.special", "scipy.integrate", "mpmath", "concurrent.futures",
+         "concurrent.futures.thread")
 loaded = {"import": [m for m in heavy if m in sys.modules]}
 for name, argv in (("controls", ["controls", "--mode", "rational", "--N-rational", "3000"]),
                    ("equivariance", ["equivariance", "--pairs", "5"]),
                    ("proof-chain", ["proof-chain", "--gen", "cantor3", "--b", "2",
-                                    "--ks", "0"])):
+                                    "--ks", "0"]),
+                   ("fourier-cert", ["fourier-cert", "--battery", "quick"])):
     assert hostlab.cli.main([*argv, "--seed", "1", "--out", name]) == 0, name
     loaded[name] = [m for m in heavy if m in sys.modules]
 print(json.dumps(loaded))
@@ -612,9 +634,10 @@ print(json.dumps(loaded))
 
 
 def test_import_footprint_stays_numpy_and_stdlib(tmp_path):
-    # a fresh interpreter: this suite's own imports already loaded scipy and mpmath
+    # a fresh interpreter: this suite's own imports already loaded scipy and mpmath.
+    # HOSTLAB_THREADS=2, so a path that still called reports.parallel_map would pool
     src = Path(hostlab.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "HOSTLAB_THREADS": "2"}
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
@@ -623,6 +646,10 @@ def test_import_footprint_stays_numpy_and_stdlib(tmp_path):
     assert loaded["controls"] == loaded["equivariance"] == []
     assert "scipy.special" in loaded["proof-chain"]
     assert "scipy.integrate" not in loaded["proof-chain"]
+    assert "scipy.integrate" in loaded["fourier-cert"]
+    # scipy's own import chain (numpy.testing) loads concurrent.futures, but only a
+    # thread pool loads its executor module
+    assert all("concurrent.futures.thread" not in mods for mods in loaded.values()), loaded
 
 
 NO_MPMATH_PROBE = """
