@@ -86,10 +86,11 @@ def _conditional_table(gen: MeasureGen, f: DigitFunction) -> np.ndarray:
 
 
 def _word_indices(digits: np.ndarray, k: int, base: int) -> np.ndarray:
-    n = len(digits) - k + 1
-    words = digits[:n].astype(np.int64)
-    for j in range(1, k):                   # Horner over k shifted slices
-        words = words * base + digits[j:j + n]
+    d = digits.astype(np.min_scalar_type(-base ** k))   # smallest signed dtype for base^k - 1
+    words = d[:len(d) - k + 1].copy()
+    for j in range(1, k):                   # Horner over k shifted slices, in place
+        words *= base
+        words += d[j:j + len(words)]
     return words
 
 
@@ -112,8 +113,7 @@ def martingale_avg_experiment(gen: MeasureGen, f: DigitFunction,
     def one_trial(trial: int) -> float:
         rng = derive_rng(seed, trial)
         digits = sample_digits(gen, N + k, rng)
-        words = _word_indices(digits, k, gen.base)
-        f_vals = f.table[words[1:N + 1]]
+        f_vals = f.table.take(_word_indices(digits, k, gen.base)[1:N + 1])
         cond_vals = cond[digits[0:N]]
         return float(np.mean(f_vals - cond_vals))
 
@@ -209,7 +209,7 @@ def time_change_joint_experiment(theta: float, beta: float, gen: MeasureGen,
         digits = sample_digits(gen, need, rng)
         out = np.empty((len(js), len(gs)), dtype=np.complex128)
         for gi, g in enumerate(gs):
-            g_vals = g.table[_word_indices(digits, g.window, gen.base)[offs]]
+            g_vals = g.table.take(_word_indices(digits, g.window, gen.base)[offs])
             out[:, gi] = phases @ g_vals / N
         return out
 

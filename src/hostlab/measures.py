@@ -56,19 +56,24 @@ class MeasureGen:
 
 @dataclass(frozen=True, eq=False)
 class StepTable:
-    """A Markov chain's digit steps, built once by `markov`.
+    """A Markov chain's digit steps and start draw, built once by `markov`.
 
     With B the distinct values across all rows of cumsum P, a uniform u in
     [B_(k-1), B_k) takes every row s to T_u(s) = min(searchsorted(cum[s], u,
     "right"), l_s), l_s the last positive entry of row s, and that map is
     maps[k] for every such u.  For a^a <= 256 a map is the code
-    sum_s T(s) a^s and composition[g a^a + f] is the code of g o f;
-    otherwise maps holds rows and composition is None.
+    sum_s T(s) a^s, composition[g a^a + f] is the code of g o f, value[c] is
+    the digit of a constant code c (else -1) and miss = P(T_u not constant);
+    otherwise maps holds rows, both tables are None and miss is 1.  The start
+    draw searches pi_cum, the cumsum of pi before its last positive entry.
     """
 
     breaks: np.ndarray
     maps: np.ndarray
     composition: np.ndarray | None
+    value: np.ndarray | None
+    miss: float
+    pi_cum: np.ndarray
     chunk: int              # digits per scan chunk
 
 
@@ -97,9 +102,7 @@ def markov(P, pi=None) -> MeasureGen:
     if pi is None:
         A = P.T - np.eye(a)
         A[-1] = 1.0
-        rhs = np.zeros(a)
-        rhs[-1] = 1.0
-        pi = np.linalg.solve(A, rhs)
+        pi = np.linalg.solve(A, np.eye(a)[-1])
     pi = np.asarray(pi, dtype=np.float64)
     if not np.all(np.isfinite(pi) & (pi >= -_PROB_TOL)) or abs(pi.sum() - 1.0) > _PROB_TOL:
         raise InputError("pi must be a probability vector")
@@ -107,13 +110,13 @@ def markov(P, pi=None) -> MeasureGen:
         raise InputError("pi is not stationary for P (pi P != pi within 1e-12)")
     pi = np.clip(pi, 0.0, None)
     return MeasureGen(kind=MARKOV, base=a, P=_freeze(P), pi=_freeze(pi),
-                      steps=_step_table(P))
+                      steps=_step_table(P, pi))
 
 
 _SCAN_ENTRIES = 1 << 15   # scan-table entries per chunk: codes, or (chunk, a) rows
 
 
-def _step_table(P: np.ndarray) -> StepTable:
+def _step_table(P: np.ndarray, pi: np.ndarray) -> StepTable:
     a = len(P)
     cum = np.cumsum(P, axis=1)
     breaks = np.unique(cum)
@@ -125,15 +128,19 @@ def _step_table(P: np.ndarray) -> StepTable:
     for s, row in enumerate(cum):
         last = np.flatnonzero(P[s])[-1]
         maps[:, s] = np.minimum(np.searchsorted(row, lefts, side="right"), last)
-    composition = None
+    composition, value, miss = None, None, 1.0
     if a ** a <= 256:
         powers = a ** np.arange(a)
         decoded = np.arange(a ** a)[:, None] // powers % a      # map of each code
         # decoded[:, decoded][g, f, s] = g(f(s))
         composition = _freeze((decoded[:, decoded] @ powers).ravel(), np.int64)
+        value = _freeze(np.where((decoded == decoded[:, :1]).all(1), decoded[:, 0], -1), np.int64)
         maps = maps @ powers
+        miss = float(np.clip(np.diff(lefts, append=1.0), 0.0, None) @ (value[maps] < 0))
     return StepTable(breaks=_freeze(breaks), maps=_freeze(maps, np.int64),
-                     composition=composition, chunk=max(1, _SCAN_ENTRIES // maps[0].size))
+                     composition=composition, value=value, miss=miss,
+                     pi_cum=_freeze(np.cumsum(pi)[:np.flatnonzero(pi)[-1]]),
+                     chunk=max(1, _SCAN_ENTRIES // maps[0].size))
 
 
 def ifs_digits(base: int, digits, weights=None) -> MeasureGen:
@@ -383,18 +390,29 @@ def _lag_correlation(R: np.ndarray, h: float, r: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _scan(x: np.ndarray, compose) -> None:
+def _scan(x: np.ndarray, compose, value: np.ndarray | None, miss: float) -> None:
     """Inclusive prefix scan in place, x[i] <- x[i] o ... o x[0], in O(len(x))
     compositions (Blelloch 1990).  The up-sweep leaves the composite of each
     aligned block of 2d maps at the block's last entry; the down-sweep then
     composes each entry that still lacks its prefix with the prefix ending d
-    before it.  The index ranges hold for any length, so nothing is padded."""
+    before it.  The index ranges hold for any length, so nothing is padded.
+
+    A constant composite c is its own prefix (c o f = c), so the up-sweep
+    stops at the first level whose block composites all have a value >= 0,
+    and the down-sweep starts there.  No test runs at the top level, where
+    a stop saves nothing, or while a block without a constant map (each map
+    non-constant with probability miss) is expected.  A test costs what its
+    level costs and a stop only drops levels, so the work stays O(len(x))."""
     L = len(x)
     d = 1
     while 2 * d <= L:
         x[2 * d - 1::2 * d] = compose(x[2 * d - 1::2 * d], x[d - 1:L - d:2 * d])
+        if (4 * d <= L and L * miss ** (2 * d) < 2 * d
+                and value.take(x[2 * d - 1::2 * d]).min() >= 0):
+            break
         d *= 2
-    d //= 2
+    else:
+        d //= 2
     while d:
         x[3 * d - 1::2 * d] = compose(x[3 * d - 1::2 * d], x[2 * d - 1:L - d:2 * d])
         d //= 2
@@ -408,10 +426,11 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
     Markov digits are exact: with the uniforms drawn before the start state
     (drawn from pi and clamped to its last positive entry, as each step is
     to its row's), digit i is T_i o ... o T_0(start), T_i the step map of
-    u_i from the generator's `StepTable` (one searchsorted into its breaks).  Map 0 of each chunk is
-    replaced by the constant map T_0(state), so every prefix composite that
-    `_scan` forms is constant and its value is the digit; the chunk's last
-    digit is the state carried into the next chunk.
+    u_i from the generator's `StepTable`, indexed by the number of breaks
+    <= u_i (a compare-and-sum over at most 16 breaks for codes, searchsorted
+    for rows).  Map 0 of each chunk is replaced by the constant map
+    T_0(state), so every prefix composite that `_scan` forms is constant and
+    its value is the digit; the chunk's last digit is the state carried on.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -420,30 +439,24 @@ def sample_digits(gen: MeasureGen, n: int, rng: np.random.Generator,
         raise InputError(f"start state {start} outside 0..{a - 1}")
     if gen.kind == BERNOULLI:
         return rng.choice(a, size=n, p=gen.pi / gen.pi.sum())
-    us = rng.random(n)
-    if start is None:
-        start = min(np.searchsorted(np.cumsum(gen.pi), rng.random(), side="right"),
-                    np.flatnonzero(gen.pi)[-1])
-    state = int(start)
     steps = gen.steps
+    us = rng.random(n)
+    state = int(np.searchsorted(steps.pi_cum, rng.random(), "right") if start is None else start)
     table = steps.composition
-    if table is None:
-        def compose(g, f):
-            return np.take_along_axis(g, f, axis=1)
-    else:
-        def compose(g, f):
-            return table.take(g * a ** a + f)
-        ones = (a ** a - 1) // (a - 1)    # code of the constant map 1
+
+    def compose(g, f):
+        return np.take_along_axis(g, f, axis=1) if table is None else table.take(g * a ** a + f)
     out = np.empty(n, dtype=np.int64)
     for lo in range(0, n, steps.chunk):
-        ids = np.searchsorted(steps.breaks, us[lo:lo + steps.chunk], side="right")
-        x = steps.maps.take(ids, axis=0)
+        u = us[lo:lo + steps.chunk]
         if table is None:           # map 0 becomes the constant map T_0(state)
+            x = steps.maps.take(np.searchsorted(steps.breaks, u, side="right"), axis=0)
             x[0] = x[0, state]
         else:
-            x[0] = x[0] // a ** state % a * ones
-        _scan(x, compose)
-        out[lo:lo + len(x)] = x[:, 0] if table is None else x % a
+            x = steps.maps.take((u >= steps.breaks[:, None]).sum(0, dtype=np.uint8))
+            x[0] = x[0] // a ** state % a * (a ** a - 1) // (a - 1)   # times the map 1's code
+        _scan(x, compose, steps.value, steps.miss)
+        out[lo:lo + len(x)] = x[:, 0] if table is None else steps.value.take(x)
         state = int(out[lo + len(x) - 1])
     return out
 

@@ -68,13 +68,17 @@ def test_iid_conditional_table_is_the_mean():
             assert abs(cond[0] - f.integral(gen).real) < 1e-15
 
 
-@pytest.mark.parametrize("k", [1, 3, 12])
+@pytest.mark.parametrize("k", [1, 3, 7, 12, 15, 16])
 def test_word_indices_equal_the_matmul_oracle(k):
-    # Horner over shifted slices and the windowed matmul are exact integer sums
+    # Horner over shifted slices and the windowed matmul are exact integer sums;
+    # 2^7 - 1 and 2^15 - 1 are the largest words of int8 and int16; 5^15 - 1 needs int64
     for gen, n in ((markov(MARKOV_P), 2003), (cantor3(), 500), (uniform(5), 37)):
         digits = sample_digits(gen, n, np.random.default_rng(k))
         got, want = _word_indices(digits, k, gen.base), word_indices(digits, k, gen.base)
-        assert got.dtype == np.int64 and got.shape == (n - k + 1,)
+        top = gen.base ** k - 1
+        assert got.dtype.kind == "i" and np.iinfo(got.dtype).max >= top, (gen.base, k)
+        assert got.itemsize == 1 or np.iinfo(f"i{got.itemsize // 2}").max < top  # the smallest
+        assert got.shape == (n - k + 1,)
         assert np.array_equal(got, want), (gen.base, k)
 
 

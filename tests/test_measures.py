@@ -14,6 +14,7 @@ from hostlab.fourier import default_measure_battery
 from hostlab.measures import (
     AdicMeasure,
     PastWord,
+    _scan,
     bernoulli,
     cantor3,
     conditional_on_past,
@@ -429,6 +430,67 @@ def test_markov_scan_matches_loop(a, k, r, rng_kind):
             assert got[0] == a - 1      # TOP from the short row: clamped
 
 
+def near_cycle(eps):
+    """P_eps = (1 - eps) C + (eps/2) (the other two digits), C the cycle 0 -> 1 -> 2 -> 0:
+    T_u is constant just for u < eps/2 and u >= 1 - eps/2."""
+    C = np.roll(np.eye(3), 1, axis=1)
+    return (1 - eps) * C + eps / 2 * (1 - C)
+
+
+# chains where the scan stops late, never or at once: (P, P(T_u not constant))
+STOP_CHAINS = {
+    "eps0.03": (near_cycle(0.03), 0.97),
+    "eps0.0003": (near_cycle(0.0003), 0.9997),
+    "cycle3": (near_cycle(0.0), 1.0),           # permutations only: a full-depth scan
+    "all-constant": ([[0.3, 0.7], [0.3, 0.7]], 0.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k,r", _scan_sizes())
+@pytest.mark.parametrize("name", STOP_CHAINS)
+def test_markov_scan_stop_matches_loop(name, k, r):
+    P, miss = STOP_CHAINS[name]
+    gen = markov(P)
+    assert gen.steps.miss == pytest.approx(miss, abs=1e-12)
+    n = k * gen.steps.chunk + r
+    for start in (None, *range(gen.base)):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = sample_digits(gen, n, rng, start=start)
+        want = markov_digits(gen, n, ref_rng, start=start)
+        assert np.array_equal(got, want), (start, np.flatnonzero(got != want)[:5])
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("L", [1000, 1024])
+@pytest.mark.parametrize("j", [0, 1, 3, 5])
+def test_scan_stops_at_the_first_all_constant_level(j, L):
+    # base-2 codes: 0 and 3 are constant maps, 1 (swap) and 2 (identity) are not,
+    # so one aligned run of 2^j swaps and identities leaves every composite of
+    # 2^(j+1) maps constant and none of 2^j maps
+    steps = markov(MARKOV_P).steps
+    assert steps.value.tolist() == [0, -1, -1, 1]
+    rng = np.random.default_rng(j)
+    x = 3 * rng.integers(0, 2, L)
+    x[3 << j:4 << j] = rng.integers(1, 3, 1 << j)
+    blocks = []
+
+    def compose(g, f):
+        blocks.append(g.strides[0] // g.itemsize)       # 2d at level d, both sweeps
+        return steps.composition.take(g * 4 + f)
+
+    got, full = x.copy(), x.copy()
+    _scan(got, compose, steps.value, 0.0)
+    up = [2 << i for i in range(j + 1)]
+    assert blocks == up + up[::-1]
+    blocks.clear()
+    _scan(full, compose, steps.value, 1.0)              # miss 1: never tested, the full scan
+    assert len(blocks) == 2 * (L.bit_length() - 1)
+    assert np.array_equal(got, full)
+    prefix = list(itertools.accumulate(x.tolist(), lambda p, c: int(steps.composition[c * 4 + p])))
+    assert got.tolist() == prefix
+
+
 def _step_map(gen, k):
     """Map k of the step table as the list T(0), ..., T(a-1)."""
     a, maps = gen.base, gen.steps.maps
@@ -453,10 +515,13 @@ def test_step_table_equals_the_per_row_rule(P):
     assert np.array_equal(steps.breaks, np.unique(cum))
     edges = np.concatenate(([0.0], steps.breaks, [1.0]))
     rng = np.random.default_rng(a)
+    miss = 0.0
     for k in range(len(steps.breaks) + 1):
         lo, hi = edges[k], edges[k + 1]
         if lo >= hi:
             continue        # [0, B_0) with B_0 = 0, or [B_last, 1) with B_last = 1
+        if steps.composition is not None and len(set(_step_map(gen, k))) > 1:
+            miss += hi - lo
         inside = min(rng.uniform(lo, hi), np.nextafter(hi, 0.0))
         for u in (lo, inside):
             assert np.searchsorted(steps.breaks, u, side="right") == k
@@ -468,6 +533,19 @@ def test_step_table_equals_the_per_row_rule(P):
         decode = [[c // a ** s % a for s in range(a)] for c in range(size)]
         for g, f in rng.integers(0, size, (200, 2)):
             assert decode[steps.composition[g * size + f]] == [decode[g][t] for t in decode[f]]
+        assert steps.value.tolist() == [m[0] if len(set(m)) == 1 else -1 for m in decode]
+    assert steps.miss == pytest.approx(miss if steps.composition is not None else 1.0, abs=1e-12)
+    assert np.array_equal(steps.pi_cum, np.cumsum(gen.pi)[:np.flatnonzero(gen.pi)[-1]])
+
+
+@pytest.mark.parametrize("P", STEP_CHAINS.values(), ids=STEP_CHAINS.keys())
+def test_markov_uniform_on_a_break_steps_as_the_loop(P):
+    # u = B_k lies in [B_k, B_(k+1)): the step index counts the breaks <= u
+    gen = markov(P)
+    for u in gen.steps.breaks:
+        for start in range(gen.base):
+            got = sample_digits(gen, 3, ConstRng(u), start=start)
+            assert np.array_equal(got, markov_digits(gen, 3, ConstRng(u), start=start)), (u, start)
 
 
 def test_oversized_step_table_is_resource_error():
