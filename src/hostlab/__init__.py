@@ -12,7 +12,6 @@ from .errors import (
     InputError,
     NullCylinderError,
     PrecisionError,
-    QuadratureError,
     ResolutionError,
     ResourceError,
 )

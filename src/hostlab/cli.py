@@ -4,8 +4,8 @@ Subcommands: weyl, fourier-cert, proof-chain, martingale, time-change,
 equivariance, controls.  Configuration is a flat key/value JSON file with
 flags taking precedence; the seed is mandatory and never defaults to the
 clock.  Hard certification failures exit 1; soft statistical thresholds warn
-and exit 0 unless --strict; bad configuration exits 2; resource, precision
-and quadrature problems exit 3.
+and exit 0 unless --strict; bad configuration exits 2; resource and precision
+problems exit 3.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import adic, ergodic, fourier, measures, pipeline, reports
-from .errors import HostlabError, InputError, QuadratureError, ResourceError
+from .errors import HostlabError, InputError, ResourceError
 
 SOFT_EXIT_NOTE = "soft threshold missed (exit 0; use --strict to fail)"
 
@@ -571,9 +571,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceError, QuadratureError) as exc:
+    except ResourceError as exc:
         print(f"resource/precision error: {exc}", file=sys.stderr)
-        if getattr(exc, "diagnostics", None):
+        if exc.diagnostics:
             print("diagnostics: " + ", ".join(f"{k}={v}" for k, v in exc.diagnostics.items()),
                   file=sys.stderr)
         return 3

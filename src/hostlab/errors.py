@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all hostlab modules.
 
 Exit-code mapping used by the CLI: InputError (and subclasses) -> 2,
-ResourceError / PrecisionError / QuadratureError -> 3, hard invariant
-failures -> 1.
+ResourceError and its subclasses (PrecisionError, ResolutionError) -> 3, hard
+invariant failures -> 1.  A ResourceError's diagnostics go to stderr with it.
 """
 
 
@@ -19,7 +19,11 @@ class NullCylinderError(InputError):
 
 
 class ResourceError(HostlabError):
-    """A computation would exceed a declared resource budget."""
+    """A computation would exceed a declared resource budget; carries diagnostics."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class ResolutionError(ResourceError):
@@ -29,10 +33,3 @@ class ResolutionError(ResourceError):
 class PrecisionError(ResourceError):
     """Arithmetic precision exhausted (orbit budget or ambiguous floor)."""
 
-
-class QuadratureError(HostlabError):
-    """The C1-density transform quadrature missed its error bound; carries diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})

@@ -281,7 +281,8 @@ def _checked(w: np.ndarray) -> np.ndarray:
 
 def _check_budget(a: int, n: int) -> None:
     if a ** n > MAX_WEIGHT_ENTRIES:
-        raise ResourceError(f"a^n = {a}**{n} exceeds the weight-vector budget")
+        raise ResourceError(f"a^n = {a}**{n} exceeds the weight-vector budget", dict(
+            base=a, level=n, entries=a ** n, budget=MAX_WEIGHT_ENTRIES))
 
 
 def realize(gen: MeasureGen, n: int) -> AdicMeasure:

@@ -13,13 +13,44 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 from scipy.special import sici
 
-from hostlab.errors import InputError, QuadratureError, ResourceError
+from hostlab.errors import InputError, ResourceError
 from hostlab.fourier import ft_adic_many
 from hostlab.measures import MAX_WEIGHT_ENTRIES, AdicMeasure
 
 TAU = 2.0 * np.pi
+
+
+class OracleQuadratureError(Exception):
+    """An oracle's quadrature missed its tolerance; carries diagnostics."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
+
+
+def c1_density(spec):
+    """The density f of a `hostlab.fourier` C1DensitySpec, from its family's formula."""
+    a, b, width = spec.a, spec.b, spec.b - spec.a
+    return {
+        "quadratic_bump": lambda x: 6.0 * (x - a) * (b - x) / width ** 3,
+        "quartic_bump": lambda x: 30.0 * ((x - a) / width) ** 2 * ((b - x) / width) ** 2 / width,
+        "raised_cosine": lambda x: (1.0 + math.cos(TAU * (x - a) / width)) / width,
+    }[spec.label.split("[")[0]]
+
+
+def c1_transform_quad(spec, t: float) -> complex:
+    """f-hat(t) = integral of f(x) e(t x) dx by QUADPACK's cos/sin-weighted quad, where
+    the library's closed form ft goes through spherical Bessel functions and sinc."""
+    f, w = c1_density(spec), TAU * t
+    re, re_err = quad(f, spec.a, spec.b, weight="cos", wvar=w,
+                      limit=400, epsabs=1e-12, epsrel=1e-12)
+    im, im_err = quad(f, spec.a, spec.b, weight="sin", wvar=w,
+                      limit=400, epsabs=1e-12, epsrel=1e-12)
+    assert re_err + im_err <= 1e-10, (spec.label, t, re_err + im_err)
+    return complex(re, im)
 
 
 def tent_overlap(c: float, h: float, lo: float, hi: float) -> float:
@@ -117,7 +148,7 @@ def panel_scaled_sq(mu, params, prescale: float = 1.0, nodes: int = 16,
         if abs(cur - prev) < tol:
             return cur
         prev = cur
-    raise QuadratureError(
+    raise OracleQuadratureError(
         "scale-average quadrature did not converge",
         {"panels": panels, "last": prev, "tol": tol, "m": m, "b": b})
 

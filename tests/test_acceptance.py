@@ -12,7 +12,6 @@ import warnings as warnings_mod
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from hostlab import cli
 from hostlab.adic import make_point_from_digits
@@ -52,7 +51,7 @@ from hostlab.pipeline import (
     proof_chain_quantity,
     weyl_sum,
 )
-from oracles import mc_scaled_sq
+from oracles import c1_transform_quad, mc_scaled_sq
 
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 LOG23 = math.log(2.0) / math.log(3.0)
@@ -69,11 +68,11 @@ def test_criterion_1_c1_density_bound():
     assert len(rows) >= 3 * 10
     assert all(r["ok"] for r in rows)
 
-    # closed form: the [0,1] quadratic bump transforms to -3/pi^2 at t = 1
+    # closed form: the [0,1] quadratic bump transforms to -3/pi^2 at t = 1, by the weighted
+    # quadrature oracle and by e(1/2) ft(1) of the library's spherical Bessel form
     spec = quadratic_bump()
-    re, _ = quad(spec.f, 0, 1, weight="cos", wvar=2 * math.pi, epsabs=1e-12)
-    im, _ = quad(spec.f, 0, 1, weight="sin", wvar=2 * math.pi, epsabs=1e-12)
-    assert abs(complex(re, im) - (-3.0 / math.pi ** 2)) < 1e-9
+    assert abs(c1_transform_quad(spec, 1.0) - (-3.0 / math.pi ** 2)) < 1e-9
+    assert abs(-spec.ft(1.0) - (-3.0 / math.pi ** 2)) < 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report("1", "PASS", f"{len(rows)} density rows certified in {elapsed:.2f}s; "

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import hostlab
-from hostlab import cli, fourier, reports
+from hostlab import cli, reports
 from hostlab.adic import PrecisionBudget
-from hostlab.errors import QuadratureError
 from hostlab.reports import CSV_MAGIC, parallel_map, thread_count, version_string
 
 
@@ -154,19 +153,16 @@ def test_fourier_cert_quick(tmp_path):
         assert all(line.endswith("true") for line in lines[2:])
 
 
-def test_quadrature_error_prints_diagnostics(tmp_path, monkeypatch, capsys):
-    # the C1-density transform is the one quadrature left that can fail
-    def fail(spec, t):
-        raise QuadratureError("transform quadrature above tolerance",
-                              {"t": t, "err": 2e-10, "density": spec.label})
-
-    monkeypatch.setattr(fourier, "c1_bound_check", fail)
-    code = cli.main(["fourier-cert", "--battery", "quick", "--seed", "3",
-                     "--out", str(tmp_path)])
+def test_resource_error_prints_diagnostics(tmp_path, capsys):
+    # a level-30 cantor3 measure needs 3**30 weights, over the budget: exit 3 with its counts
+    code = cli.main(["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", "0",
+                     "--level", "30", "--seed", "3", "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("resource/precision error: transform quadrature")
-    assert err[1] == "diagnostics: t=1, err=2e-10, density=quadratic_bump[0,1]"
+    assert err[0] == ("resource/precision error: a^n = 3**30 exceeds the weight-vector "
+                      "budget")
+    assert err[1] == ("diagnostics: base=3, level=30, entries=205891132094649, "
+                      f"budget={hostlab.measures.MAX_WEIGHT_ENTRIES}")
 
 
 def test_proof_chain_quick(tmp_path):
@@ -645,8 +641,7 @@ def test_import_footprint_stays_numpy_and_stdlib(tmp_path):
     assert loaded["import"] == []
     assert loaded["controls"] == loaded["equivariance"] == []
     assert "scipy.special" in loaded["proof-chain"]
-    assert "scipy.integrate" not in loaded["proof-chain"]
-    assert "scipy.integrate" in loaded["fourier-cert"]
+    assert all("scipy.integrate" not in mods for mods in loaded.values()), loaded
     # scipy's own import chain (numpy.testing) loads concurrent.futures, but only a
     # thread pool loads its executor module
     assert all("concurrent.futures.thread" not in mods for mods in loaded.values()), loaded

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hostlab import fourier
-from hostlab.errors import InputError, QuadratureError, ResourceError
+from hostlab.errors import InputError, ResourceError
 from hostlab.fourier import (
     SmoothingParams,
     _lag_integral_vectors,
@@ -37,8 +37,9 @@ from hostlab.measures import (
     uniform,
     word,
 )
-from oracles import (cantor_transform, lag_integrals, mc_scaled_sq, panel_scaled_sq,
-                     structured_phase_sum, wrapped_transform)
+from oracles import (OracleQuadratureError, c1_density, c1_transform_quad, cantor_transform,
+                     lag_integrals, mc_scaled_sq, panel_scaled_sq, structured_phase_sum,
+                     wrapped_transform)
 
 TAU = 2.0 * math.pi
 
@@ -234,8 +235,23 @@ def test_c1_bound_high_frequency_and_errors():
 def test_c1_battery_unit_mass():
     from scipy.integrate import quad
     for spec in c1_default_battery():
-        total, err = quad(spec.f, spec.a, spec.b)
+        total, err = quad(c1_density(spec), spec.a, spec.b)
         assert abs(total - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("spec", c1_default_battery(), ids=lambda spec: spec.label)
+def test_c1_closed_form_matches_quadrature(spec):
+    # the default battery's t grid, then off-grid t: tiny, near 1, thirds, negative, large
+    ts = [t for base in (1, 2, 5, 10, 100) for t in (base, -base)]
+    ts += [1e-8, 1e-3, 0.3, 0.999999, 1 / 3, 0.5, -2.5, 37.5, 1000.0]
+    for t in ts:
+        lhs, _, _ = c1_bound_check(spec, t)
+        assert abs(lhs - abs(c1_transform_quad(spec, t))) < 1e-13, t
+        u = t * (spec.b - spec.a)
+        assert spec.ft(-u) == spec.ft(u), u
+    assert abs(spec.ft(1e-12) - 1.0) < 1e-14
+    if spec.label.startswith("raised_cosine"):
+        assert abs(spec.ft(1.0)) == abs(spec.ft(-1.0)) == 0.5
 
 
 def test_c1_certificate_rows():
@@ -305,7 +321,7 @@ def test_smoothing_certificate_rows_match_per_row_rhs(monkeypatch):
 def test_scaled_sq_quadrature_error_diagnostics():
     # the closed form has no failure path; the panel oracle still reports one
     mu = realize(cantor3(), 6)
-    with pytest.raises(QuadratureError) as exc:
+    with pytest.raises(OracleQuadratureError) as exc:
         panel_scaled_sq(mu, SmoothingParams(b_scale=2.0, m=1, r=0.5),
                         tol=0.0, max_doublings=1)
     assert "panels" in exc.value.diagnostics
