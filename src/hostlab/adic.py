@@ -62,7 +62,9 @@ def _big_divmod(a: int, b: int) -> tuple[int, int]:
     Karatsuba products: a is cut into chunks of b's bit length, each divided
     by recursive 2n/n division (Brent & Zimmermann, Modern Computer
     Arithmetic, 2010, section 1.4.3).  Meant for a at most a few times b's
-    size; CPython's own divmod is quadratic there."""
+    size; CPython's own divmod is quadratic there.  b = 2^s is a shift and a mask."""
+    if b & (b - 1) == 0:
+        return a >> (b.bit_length() - 1), a & (b - 1)
     n = b.bit_length()
     if n <= _DIV_CUTOFF:
         return divmod(a, b)
@@ -233,7 +235,8 @@ def _floor_multiples(num: int, den: int, N: int) -> tuple[np.ndarray, np.ndarray
     """floor(num*n/den) (int64) and num*n mod den, n = 0..N: int64 divmod, or for den = 2^s
     32-bit limbs of n*num*2^pad, floor on a limb edge and rem as its low limbs (rem * 2^pad)."""
     if N >= 1 << 32 or num * N // den >= 1 << 63:
-        raise ResourceError(f"need N < 2^32 (limb products) and floors < 2^63, got N = {N}")
+        raise ResourceError(f"need N < 2^32 (limb products) and floors < 2^63, got N = {N}",
+                            dict(N=N, max_floor=num * N // den))
     if max(num * N, den) < 1 << 63:
         return np.divmod(np.arange(N + 1, dtype=np.int64) * num, den)
     if den & (den - 1):
@@ -307,6 +310,7 @@ def kronecker_schedule(a: int, b: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     for n, limbs in zip(rare.tolist(), rem[:, rare].T.tolist()):
         r = sum(v << 32 * i for i, v in enumerate(limbs))
         if n and min(r, one - r) < 1 << (ALPHA_BITS - 100):
-            raise PrecisionError(f"floor of alpha*{n} ambiguous at {ALPHA_BITS} bits")
+            raise PrecisionError(f"floor of alpha*{n} ambiguous at {ALPHA_BITS} bits",
+                                 dict(n=n, alpha_bits=ALPHA_BITS, guard_bits=100))
         z[n] = r / one
     return whole, z

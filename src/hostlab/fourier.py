@@ -27,7 +27,7 @@ J_D = F_L(b s0) - F_L(s0), L the series terms b s0 needs (L = 0: three cosines);
 `_lag_rows` evaluates F once per distinct endpoint and every L at once, on the lags
 where some R is non-zero (J is 0 elsewhere).  Callers form s0 and the pairwise
 `np.sum(R * J)` (a BLAS dot's order follows its threads) in `_scale_averages`, so
-shared values are bit-equal.  scipy is imported where called: it slowed start-up.
+shared values are bit-equal.  Ci is `_ci`'s, numpy only, as are the C1 bumps' j_n.
 """
 
 from __future__ import annotations
@@ -145,10 +145,22 @@ class C1DensitySpec:
 
 
 def _jn_ratio(n: int, u: float) -> float:
-    """j_n(pi u)/(pi u)^n, the transform of (1 - v^2)^n/(2^(n+1) n!) on [-1, 1] at u/2
-    (Poisson's integral, DLMF 10.54.1)."""
-    from scipy.special import spherical_jn
-    return float(spherical_jn(n, math.pi * u)) / (math.pi * u) ** n
+    """j_n(x)/x^n at x = pi u for n = 1, 2, the transform of (1 - v^2)^n/(2^(n+1) n!) on
+    [-1, 1] at u/2 (Poisson's integral, DLMF 10.54.1).  Closed forms (DLMF 10.49.3):
+    j_1(x)/x = (sin x - x cos x)/x^3, j_2(x)/x^2 = ((3 - x^2) sin x - 3x cos x)/x^5.
+    They cancel about eps/x^(2n) in relative terms, so below |x| = 2 the series
+    sum_k (-x^2/2)^k/(k! (2n+2k+1)!!) (DLMF 10.53.1) is summed to its 12th term."""
+    x = math.pi * u
+    if abs(x) < 2.0:
+        t, term, total = -0.5 * x * x, 1.0 / (3.0, 15.0)[n - 1], 0.0
+        for k in range(12):
+            total += term
+            term *= t / ((k + 1) * (2 * n + 2 * k + 3))
+        return total
+    s, c = math.sin(x), math.cos(x)
+    if n == 1:
+        return (s - x * c) / x ** 3
+    return ((3.0 - x * x) * s - 3.0 * x * c) / x ** 5
 
 
 def _sinc(x: float) -> float:
@@ -223,26 +235,118 @@ class SmoothingParams:
             raise InputError("r must be positive")
 
 
+# Ci's polynomials, highest power first, from tests/ci_coefficients.py: the series in
+# t = x^2 for x <= 4, then per region (upper edge, center, x f, x^2 g), the auxiliary
+# functions in u = x - center, or in u = 1/x^2 if center is None
+_CI_SERIES = (-1.2566625429386353e-34, 1.1713890132392279e-31, -9.53690870471076e-29,
+              6.715573212900493e-26, -4.0439960874775335e-23, 2.0551588116560825e-20,
+              -8.677337204770125e-18, 2.9871733327421158e-15, -8.193389712664089e-13,
+              1.7397297489890083e-10, -2.755731922398589e-08, 3.1001984126984127e-06,
+              -0.0002314814814814815, 0.010416666666666666, -0.25)
+_CI_AUX = (
+    (8.0, 6.0,    # x f of degree 19, x^2 g of degree 18
+     (2.424953138888036e-17, -1.6658468603640105e-16, 6.646182791233828e-16,
+      -4.638498529921431e-15, 3.6641043347094605e-14, -2.572577108665712e-13,
+      1.7938629663154628e-12, -1.2688794887492082e-11, 9.000693136442923e-11,
+      -6.385317492414044e-10, 4.523906145559881e-09, -3.191871029207604e-08,
+      2.2338291633361229e-07, -1.542211206347841e-06, 1.0422477308078291e-05,
+      -6.817857474195139e-05, 0.00042426584344856723, -0.002438147804815066,
+      0.012176631120115525, 0.9558333214575802),
+     (8.327866451104263e-17, -5.154162386232387e-16, 1.5205645658155388e-15,
+      -8.063142817561254e-15, 4.851308236957587e-14, -1.62798920062956e-13,
+      -3.515228119239081e-13, 1.4125457661371718e-11, -1.9365663814155942e-10,
+      2.1197707077010236e-09, -2.085997890145678e-08, 1.918013574391624e-07,
+      -1.6710264408314939e-06, 1.3829693843296443e-05, -0.0001081385950211853,
+      0.0007877541069835858, -0.005198637377258522, 0.02925777365777629, 0.882773534736887)),
+    (16.0, None,    # x f of degree 17, x^2 g of degree 15
+     (-4.766944970787061e+25, 8.671146281892658e+24, -7.415269015154563e+23,
+      3.9665370537090785e+22, -1.4902393487627093e+21, 4.18857983951964e+19,
+      -9.169803570614609e+17, 1.6104587865034026e+16, -232750807244533.9, 2844913643719.0894,
+      -30524682031.75063, 305264083.77588826, -3149181.996103765, 39210.34974730633,
+      -717.9887515401846, 23.997363932700996, -1.9999977986786568, 0.9999999991257881),
+     (-1.4556772908612129e+23, 2.3681498515331613e+22, -1.7992346659606026e+21,
+      8.493050651093069e+19, -2.7973597237214884e+18, 6.853634337922715e+16,
+      -1303302060439897.5, 19908691728658.33, -253191696036.4255, 2814682028.98387,
+      -29608710.28256967, 336271.18640198326, -4985.780458387072, 119.92005177727964,
+      -5.99992511013369, 0.999999966797274)),
+    (32.0, None,    # x f of degree 11, x^2 g of degree 10
+     (-1.035839785358174e+18, 3.5584416922121396e+16, -585847850916786.5, 6336039473496.201,
+      -53451998684.31319, 413308706.27422684, -3527387.4534029956, 40201.52703922797,
+      -719.900078055564, 23.999942990098226, -1.9999999804005542, 0.9999999999969449),
+     (1.0868290990163624e+17, -3486963905973665.5, 53824667800348.38, -553443287467.1176,
+      4588247693.481306, -37067647.32309577, 359138.9128771186, -5036.477891046076,
+      119.997775989116, -5.999999161245156, 0.9999999998577975)),
+    (math.inf, None,    # x f of degree 8, x^2 g of degree 8
+     (7135073533811.684, -68005446228.39253, 462445182.30469257, -3619962.620463142,
+      40317.14620541569, -719.999473438153, 23.99999995078322, -1.999999999998214, 1.0),
+     (108599484405445.52, -973395612834.8585, 5942316303.8600645, -39765994.02294587,
+      362831.5244555696, -5039.991081033917, 119.99999916779265, -5.999999999969828,
+      0.9999999999999998)),
+)
+
+
+def _poly(coefs, u: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] u^(n-k), n = len(coefs) - 1, by Horner's rule in place."""
+    acc = coefs[0] * u
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= u
+        acc += c
+    return acc
+
+
+def _ci(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray) -> np.ndarray:
+    """Ci(x) on ascending positive x, given cos x and sin x: gamma + ln x + sum_k
+    (-x^2)^k/(2k (2k)!) (DLMF 6.6.6) up to x = 4, then f sin x - g cos x with the
+    auxiliary functions f and g (DLMF 6.2.17-18) from x f and x^2 g in `_CI_AUX`.
+    The error is within 2e-15 up to x = 4 and within 3e-16/x above, where the three-cosine
+    rows scale Ci by x^2 (scipy's `sici`: 1.8e-15 and 4.8e-16/x; tests)."""
+    out = np.empty_like(x)
+    ends = np.searchsorted(x, (4.0, *(region[0] for region in _CI_AUX)), side="right").tolist()
+    lo = ends[0]
+    t = x[:lo] * x[:lo]
+    v = _poly(_CI_SERIES, t)
+    v *= t
+    np.add(np.log(x[:lo]) + np.euler_gamma, v, out=out[:lo])
+    for (_, center, F, G), hi in zip(_CI_AUX, ends[1:]):
+        if hi == lo:
+            continue
+        xs = x[lo:hi]
+        u = xs - center if center is not None else 1.0 / (xs * xs)
+        f, g = _poly(F, u), _poly(G, u)
+        f *= sin_x[lo:hi]
+        g *= cos_x[lo:hi]
+        g /= xs
+        f -= g
+        np.divide(f, xs, out=out[lo:hi])
+        lo = hi
+    return out
+
+
 def _lag_rows(s: float, lags: np.ndarray, coefs: dict) -> dict[int, np.ndarray]:
     """F_L(s) on the sorted lags (lags[0] = 0) for each series coefs[L] of length L, or the
-    three-cosine form at L = 0; a smaller L's (qx, qy) is a prefix of the largest's chain."""
-    from scipy.special import sici
+    three-cosine form at L = 0; a smaller L's (qx, qy) is a prefix of the largest's chain.
+    Each form's Ci arguments ascend, and `_ci` reuses the cos and sin it needs anyway."""
     s, rows = np.array([s]), {}
     if 0 in coefs:
         # A_c = -cos(cs)/(2s^2) + c sin(cs)/(2s) - c^2 Ci(cs)/2 reads one rounded argument;
         # regrouping the three cosines by trig identities would lose about eps D^2
         d = np.arange(1, lags[-1] + 2, dtype=np.float64)
         x = (2.0 * s) * d
-        A = np.concatenate((-0.5 / s ** 2, -np.cos(x) / (2.0 * s * s) + d * np.sin(x) / s
-                            - 2.0 * d * d * sici(x)[1]))
+        cos, sin = np.cos(x), np.sin(x)
+        A = np.concatenate((-0.5 / s ** 2, -cos / (2.0 * s * s) + d * sin / s
+                            - 2.0 * d * d * _ci(x, cos, sin)))
         rows[0] = 0.5 * A[lags] - 0.25 * A[lags + 1] - 0.25 * A[np.abs(lags - 1)]
     if not any(coefs):
         return rows
     coef = coefs[max(coefs)]
     # Re exp(ics) (x_n + i y_n) integrates s^n cos(cs); each coef-weighted term is O(1)
     c = 2.0 * lags[1:]
-    ci, cos, sin = sici(s * c)[1], np.cos(s * c), np.sin(s * c)
-    lag0 = sici(2.0 * s)[1] - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
+    sc = s * np.concatenate(([2.0], c))             # Ci(2s) for lag 0 leads the row's Ci
+    cos, sin = np.cos(sc), np.sin(sc)
+    ci = _ci(sc, cos, sin)
+    lag0 = ci[:1] - np.sin(s) ** 2 / (2.0 * s * s) - sin[:1] / (2.0 * s)
+    ci, cos, sin = ci[1:], cos[1:], sin[1:]
     x, y, qx, qy, t = (np.zeros(len(c)) for _ in range(5))
     y[:] = -1.0 / c
     for n in range(1, 2 * len(coef) - 2):

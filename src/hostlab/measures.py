@@ -122,7 +122,9 @@ def _step_table(P: np.ndarray, pi: np.ndarray) -> StepTable:
     breaks = np.unique(cum)
     if (len(breaks) + 1) * a > MAX_WEIGHT_ENTRIES:
         raise ResourceError(f"the step table of a {a}-state chain has "
-                            f"{(len(breaks) + 1) * a} entries, over the weight-vector budget")
+                            f"{(len(breaks) + 1) * a} entries, over the weight-vector budget",
+                            dict(states=a, entries=(len(breaks) + 1) * a,
+                                 budget=MAX_WEIGHT_ENTRIES))
     lefts = np.concatenate(([0.0], breaks))     # left ends; u < B_0 reads 0.0
     maps = np.empty((len(lefts), a), dtype=np.int64)
     for s, row in enumerate(cum):
@@ -248,7 +250,8 @@ class AdicMeasure:
         if base < 2 or level < 0:
             raise InputError("base >= 2 and level >= 0 required")
         if structure is not None and base ** level > 2 ** 1022:
-            raise PrecisionError(f"cell width {base}**-{level} is below the normal floats")
+            raise PrecisionError(f"cell width {base}**-{level} is below the normal floats",
+                                 dict(base=base, level=level))
         self.__dict__.update(base=base, level=level, structure=structure)   # frozen: no setattr
         if structure is None:
             w = np.asarray(weights, dtype=np.float64)
@@ -378,7 +381,8 @@ def _lag_correlation(R: np.ndarray, h: float, r: float) -> float:
         raise InputError("radius must be positive")
     if h > r / 16.0:
         raise ResolutionError(
-            f"cell width {h:g} exceeds r/16 = {r / 16:g}; deepen the level")
+            f"cell width {h:g} exceeds r/16 = {r / 16:g}; deepen the level",
+            dict(cell_width=h, radius=r, max_cell_width=r / 16))
     if r >= 1.0:
         return 1.0
     # T(rho - D) alone: rho >= 16 puts -rho - D below T's support [-1, 1]

@@ -53,6 +53,7 @@ from .reports import derive_rng
 
 _CHUNK = 2048                 # orbit steps per phase segment
 _MASK64 = (1 << 64) - 1
+_MASK53 = (1 << 53) - 1
 
 
 def _orbit_readouts(num: int, mod: int, b: int, N: int) -> np.ndarray:
@@ -62,7 +63,8 @@ def _orbit_readouts(num: int, mod: int, b: int, N: int) -> np.ndarray:
     are the base-b digits of G_N below b^N.  So one big division gives G_N,
     one radix conversion gives the digits, and the recurrence runs as an
     in-place uint64 doubling scan over them.  The scan wraps mod 2^64, and
-    2^53 divides 2^64, so r_n = G_n mod 2^53 is exact.
+    2^53 divides 2^64, so r_n = G_n mod 2^53 is exact.  It stops once
+    b^s = 0 mod 2^53: later passes add only multiples of 2^53.
     """
     bN = b ** N
     head, low = divmod(_big_divmod((num * bN) << 53, mod)[0], bN)
@@ -70,11 +72,11 @@ def _orbit_readouts(num: int, mod: int, b: int, N: int) -> np.ndarray:
     v[0] = (b * head + int(v[0])) & _MASK64
     tmp = np.empty_like(v)
     p, s = b, 1                               # p = b^s mod 2^64, a Python int
-    while s < N:
+    while s < N and p & _MASK53:
         np.multiply(v[:-s], np.uint64(p), out=tmp[s:])
         v[s:] += tmp[s:]
         p, s = (p * p) & _MASK64, 2 * s
-    v &= np.uint64((1 << 53) - 1)
+    v &= np.uint64(_MASK53)
     return v
 
 
@@ -142,7 +144,8 @@ def weyl_sum(x: UnitPoint, b: int, freqs, checkpoints) -> np.ndarray:
     if x.precision < budget.L:
         raise PrecisionError(
             f"point precision {x.precision} below budget {budget.L} "
-            f"for N={checkpoints[-1]}")
+            f"for N={checkpoints[-1]}",
+            dict(precision=x.precision, budget=budget.L, N=checkpoints[-1]))
     return _orbit_character_sums(
         _orbit_readouts(x.numerator, x.denominator, b, checkpoints[-1]), freqs, checkpoints)
 
@@ -204,7 +207,7 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     if x.precision < budget.L + k:
         raise PrecisionError(
             f"point precision {x.precision} below {budget.L + k} needed "
-            f"for N={N}, k={k}")
+            f"for N={N}, k={k}", dict(precision=x.precision, needed=budget.L + k, N=N, k=k))
     if level is None:
         level = k + max(4, math.ceil(math.log(512 * abs(m)) / math.log(a)))
     # step n conditions on x's last digit s read (index s), or on the past (index a) at n' = 0

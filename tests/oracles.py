@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 from hostlab.errors import InputError, ResourceError
-from hostlab.fourier import ft_adic_many
+from hostlab.fourier import _ci, ft_adic_many
 from hostlab.measures import MAX_WEIGHT_ENTRIES, AdicMeasure
 
 TAU = 2.0 * np.pi
@@ -153,15 +153,25 @@ def panel_scaled_sq(mu, params, prescale: float = 1.0, nodes: int = 16,
         {"panels": panels, "last": prev, "tol": tol, "m": m, "b": b})
 
 
+def ci(x) -> np.ndarray:
+    """Ci at each entry of x by `fourier._ci`, which takes ascending arguments with their
+    cos and sin: the entries are sorted, evaluated and put back in place."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, axis=None)
+    xs = x.ravel()[order]
+    out = np.empty(x.size)
+    out[order] = _ci(xs, np.cos(xs), np.sin(xs))
+    return out.reshape(x.shape)
+
+
 def lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
     """J_D of `hostlab.fourier`'s module docstring for D = 0..K-1, as
     F(s1) - F(s0) with the antiderivative F of the branch that s1 selects, at
     both ends at once.
 
-    The library's former `_lag_integrals`, kept as it was: the same formulas
-    on (K, 2) broadcast temporaries, so the in-place form must equal it bit
-    for bit."""
-    from scipy.special import sici
+    The library's former `_lag_integrals`, kept as it was but for Ci, which
+    comes from `fourier._ci` (`ci` here): the same formulas on (K, 2) broadcast
+    temporaries, so the in-place form must equal it bit for bit."""
     s = np.array([s1, s0])
     if s1 > 1.0:
         # A_c = -cos(cs)/(2s^2) + c sin(cs)/(2s) - c^2 Ci(cs)/2 reads one rounded argument;
@@ -169,7 +179,7 @@ def lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
         d = np.arange(1, K + 1, dtype=np.float64)[:, None]
         x = (2.0 * s) * d
         A = np.vstack((-0.5 / s ** 2,
-                       -np.cos(x) / (2.0 * s * s) + d * np.sin(x) / s - 2.0 * d * d * sici(x)[1]))
+                       -np.cos(x) / (2.0 * s * s) + d * np.sin(x) / s - 2.0 * d * d * ci(x)))
         return (0.5 * A[:K] - 0.25 * A[1:] - 0.25 * A[np.abs(np.arange(K) - 1)]) @ [1.0, -1.0]
     coef = [1.0]                      # sin^2 s/s^2 = sum_j coef[j] s^(2j), to 1e-17 at s1
     while abs(coef[-1]) * s1 ** (2 * len(coef) - 2) >= 1e-17:
@@ -181,8 +191,8 @@ def lag_integrals(K: int, s0: float, s1: float) -> np.ndarray:
         x, y = -n * y / c, (n * x - s ** n) / c
         if n % 2:
             qx, qy = qx + coef[(n + 1) // 2] * x, qy + coef[(n + 1) // 2] * y
-    lag0 = sici(2.0 * s)[1] - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
-    F = np.vstack((lag0, sici(c * s)[1] + np.cos(c * s) * qx - np.sin(c * s) * qy))
+    lag0 = ci(2.0 * s) - np.sin(s) ** 2 / (2.0 * s * s) - np.sin(2.0 * s) / (2.0 * s)
+    F = np.vstack((lag0, ci(c * s) + np.cos(c * s) * qx - np.sin(c * s) * qy))
     return F @ [1.0, -1.0]
 
 

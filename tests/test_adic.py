@@ -119,7 +119,7 @@ def test_big_divmod_matches_divmod():
     def rand(bits):
         return int.from_bytes(rng.bytes(bits // 8 + 1), "big") >> (8 - bits % 8)
 
-    divisors = [3, 2 ** 61 - 1, 2 ** (_DIV_CUTOFF - 1), 2 ** _DIV_CUTOFF, 2 ** 100_000,
+    divisors = [1, 2, 3, 2 ** 61 - 1, 2 ** (_DIV_CUTOFF - 1), 2 ** _DIV_CUTOFF, 2 ** 100_000,
                 3 ** 1292, 3 ** 1293, 3 ** 63_221, 5 ** 30_000]
     for bits in (_DIV_CUTOFF - 1, _DIV_CUTOFF, _DIV_CUTOFF + 1, 3 * _DIV_CUTOFF + 7, 40_001):
         divisors.append(rand(bits) | 1 << (bits - 1))
@@ -276,6 +276,9 @@ def test_kronecker_ambiguous_floor_names_first_n(monkeypatch):
     for build in (kronecker_schedule, kronecker_tables):
         with pytest.raises(PrecisionError, match=r"alpha\*4 ambiguous at 128 bits$"):
             build(3, 2, 10)
+    with pytest.raises(PrecisionError) as exc:
+        kronecker_schedule(3, 2, 10)
+    assert exc.value.diagnostics == dict(n=4, alpha_bits=128, guard_bits=100)
 
 
 def test_kronecker_ambiguous_floor_from_below(monkeypatch):
@@ -349,8 +352,9 @@ def test_floor_multiples_matches_object_oracle(num, den, N):
 def test_floor_multiples_refuses_what_it_cannot_do_exactly():
     with pytest.raises(InputError, match="power of two"):
         _floor_multiples(3 ** 40, 3 ** 20, 10)
-    with pytest.raises(ResourceError, match="floors < 2\\^63"):
+    with pytest.raises(ResourceError, match="floors < 2\\^63") as exc:
         _floor_multiples(2 ** 62, 1, 2)
+    assert exc.value.diagnostics == dict(N=2, max_floor=2 ** 63)
 
 
 def test_limb_range_refused_before_any_allocation():

@@ -165,6 +165,17 @@ def test_resource_error_prints_diagnostics(tmp_path, capsys):
                       f"budget={hostlab.measures.MAX_WEIGHT_ENTRIES}")
 
 
+def test_resolution_error_prints_diagnostics(tmp_path, capsys):
+    # level 2 of cantor3 has cells of 1/9, wider than r/16 at k = 0 (r = 1): exit 3
+    code = cli.main(["proof-chain", "--gen", "cantor3", "--b", "2", "--ks", "0",
+                     "--level", "2", "--seed", "3", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("resource/precision error: cell width 0.111111 exceeds r/16 = 0.0625; "
+                      "deepen the level")
+    assert err[1] == f"diagnostics: cell_width={1 / 9}, radius=1.0, max_cell_width=0.0625"
+
+
 def test_proof_chain_quick(tmp_path):
     code = cli.main(["proof-chain", "--gen", "cantor3", "--b", "2", "--m", "1",
                      "--ks", "0,2", "--samples", "2", "--level", "8",
@@ -638,13 +649,9 @@ def test_import_footprint_stays_numpy_and_stdlib(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded["import"] == []
-    assert loaded["controls"] == loaded["equivariance"] == []
-    assert "scipy.special" in loaded["proof-chain"]
-    assert all("scipy.integrate" not in mods for mods in loaded.values()), loaded
-    # scipy's own import chain (numpy.testing) loads concurrent.futures, but only a
-    # thread pool loads its executor module
-    assert all("concurrent.futures.thread" not in mods for mods in loaded.values()), loaded
+    # numpy is the only run-time dependency: no subcommand loads any scipy module (Ci and
+    # the bump transforms are fourier's own), mpmath, or a thread pool's executor module
+    assert all(mods == [] for mods in loaded.values()), loaded
 
 
 NO_MPMATH_PROBE = """

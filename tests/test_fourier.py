@@ -254,6 +254,24 @@ def test_c1_closed_form_matches_quadrature(spec):
         assert abs(spec.ft(1.0)) == abs(spec.ft(-1.0)) == 0.5
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_jn_ratio_against_mpmath(n):
+    # the reference is taken at the same rounded x = pi u the kernel reads, and the error
+    # is relative to max(|j_n(x)/x^n|, (1 + |x|)^-(n+1)/(2n+1)!!), the function's scale:
+    # near a zero of j_n no evaluation from a rounded sin and cos keeps relative digits
+    switch = 2.0 / math.pi                     # |x| = 2: the series hands over there
+    us = [0.0, 1e-12, -1e-12, 1e-6, np.nextafter(switch, 0.0), switch,
+          np.nextafter(switch, 1.0), -switch, 999.9, -1e3, 1e3]
+    us += [*np.linspace(-5.0, 5.0, 201), *np.geomspace(1e-4, 1e3, 200)]
+    with mpmath.workdps(40):
+        for u in us:
+            x = abs(mpmath.mpf(math.pi * u))
+            want = (mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(n + 0.5, x) / x ** n
+                    if x else mpmath.mpf(1) / (3, 15)[n - 1])
+            scale = max(abs(want), (1 + x) ** -(n + 1) / (3, 15)[n - 1])
+            assert abs(fourier._jn_ratio(n, u) - want) <= 2e-15 * scale, (n, u)
+
+
 def test_c1_certificate_rows():
     rows = c1_certificate(c1_default_battery(), [1, -2, 10])
     assert len(rows) == 12
@@ -389,6 +407,26 @@ def test_lag_integrals_against_mpmath(s0, b):
                 f = lambda s: mpmath.sin(s) ** 2 * mpmath.cos(2 * D * s) / s ** 3
                 direct = mpmath.quad(f, mpmath.linspace(s0, s1, 8))
                 assert abs(direct - want) < 1e-20, D
+
+
+def test_ci_against_mpmath_and_sici():
+    # every region edge of _ci at +-1 ulp, and the zero of Ci near 0.6165.  Above 4 the
+    # error is also bounded beside Ci's scale 1/x: the three-cosine lag rows multiply Ci
+    # by x^2, where x^2 Ci(x) cancels to O(x); sici reaches 4.8e-16 there on this grid
+    from scipy.special import sici
+    with mpmath.workdps(30):
+        zero = float(mpmath.findroot(mpmath.ci, 0.6))
+    edges = [zero, 4.0, *(edge for edge, *_ in fourier._CI_AUX[:-1])]
+    x = [*np.geomspace(1e-4, 1e5, 3500), *np.linspace(4.0, 40.0, 1000), 1e8]
+    x += [v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+    x = np.unique(x)
+    got = fourier._ci(x, np.cos(x), np.sin(x))
+    with mpmath.workdps(30):
+        exact = [mpmath.ci(v) for v in x]
+        err = np.array([float(mpmath.mpf(g) - c) for g, c in zip(got, exact)])
+    assert np.max(np.abs(got - np.array([float(c) for c in exact]))) <= 2e-15
+    assert np.max((x * np.abs(err))[x > 4.0]) <= 3e-16
+    assert np.max(np.abs(got - sici(x)[1])) <= 1e-15
 
 
 def _endpoint_rows(measures, ms, bs):

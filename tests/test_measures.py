@@ -93,8 +93,9 @@ def test_chain_level_past_the_normal_floats_is_precision_error():
     # a^level > 2^1022 would make the cell width a^-level subnormal
     assert realize(uniform(2), 1022).cell_width == 2.0 ** -1022
     assert conditional_on_past(cantor3(), PastWord(3, (0,)), 644).level == 644
-    with pytest.raises(PrecisionError, match="normal floats"):
+    with pytest.raises(PrecisionError, match="normal floats") as exc:
         realize(uniform(2), 1023)
+    assert exc.value.diagnostics == dict(base=2, level=1023)
     with pytest.raises(PrecisionError, match="normal floats"):
         conditional_on_past(cantor3(), PastWord(3, (0,)), 645)     # 3^645 > 2^1022
 
@@ -253,8 +254,10 @@ def test_correlation_point_mass_and_saturation():
 
 def test_correlation_guard_and_monotonicity():
     mu = realize(cantor3(), 8)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError) as exc:
         correlation_integral(mu, 16.0 * 3.0 ** -8 * 0.9)
+    assert exc.value.diagnostics == dict(cell_width=3.0 ** -8, radius=16.0 * 3.0 ** -8 * 0.9,
+                                         max_cell_width=3.0 ** -8 * 0.9)
     rs = [0.01, 0.03, 0.1, 0.3, 1.0]
     vals = [correlation_integral(mu, r) for r in rs]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))

@@ -64,8 +64,18 @@ def test_weyl_rational_three_cycle():
 
 def test_weyl_budget_enforced():
     x = make_point_from_digits(3, [1, 2, 0, 1])
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError) as exc:
         weyl_sum(x, 2, freqs=(1,), checkpoints=(1000,))
+    assert exc.value.diagnostics == dict(precision=4, budget=PrecisionBudget.plan(3, 2, 1000).L,
+                                         N=1000)
+
+
+def test_compare_budget_enforced():
+    x = make_point_from_digits(3, [0, 2, 0, 2])
+    with pytest.raises(PrecisionError) as exc:
+        orbit_vs_conditional_compare(cantor3(), PastWord(3, (0,)), x, b=2, k=1, m=1, N=100)
+    assert exc.value.diagnostics == dict(precision=4, needed=PrecisionBudget.plan(3, 2, 100).L + 1,
+                                         N=100, k=1)
 
 
 def test_weyl_input_validation():
