@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by all hostlab modules.
+"""Exception hierarchy shared by all hostlab modules, and `integer`, which reads
+an integer input or raises InputError.
 
 Exit-code mapping used by the CLI: InputError (and subclasses) -> 2,
 ResourceError and its subclasses (PrecisionError, ResolutionError) -> 3, hard
 invariant failures -> 1.  A ResourceError's diagnostics go to stderr with it.
 """
+
+import numbers
 
 
 class HostlabError(Exception):
@@ -33,3 +36,11 @@ class ResolutionError(ResourceError):
 class PrecisionError(ResourceError):
     """Arithmetic precision exhausted (orbit budget or ambiguous floor)."""
 
+
+def integer(value, name: str) -> int:
+    """value as an int: an int, a numpy int or an integral float.  2.5, nan, inf, True
+    or a string is an InputError, never truncated or parsed."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or isinstance(
+            value, numbers.Real) and float(value).is_integer()):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -7,7 +7,8 @@ transform has the closed form
     F(xi) = sinc(xi h) * sum_k w_k e(xi (k + 1/2) h),      h = a^-n,
 
 with sinc(u) = sin(pi u)/(pi u); no sampling is involved.  Scaling satisfies
-F_m(S_t nu) = F(nu, m t), which is how scale averages are evaluated.  A
+F_m(S_t nu) = F(nu, m t), so a scale average of S_p nu at frequency m is the
+one of nu at frequency m p, with no scaling parameter of its own.  A
 measure with the chain factorization (init, P) sums place by place: digit d at
 place j costs one cos and sin (`cis`) of (2 pi h a^j)(xi d), not a power of
 another place's phase (that would scale its rounding error by a^j); a digit
@@ -15,8 +16,8 @@ that neither init nor any row of P can emit costs nothing.
 
 The scale average is closed form too: with c_D R(D) from `measures._lag_weights`
 (R = w * w, c_0 = 1, c_D = 2 for D > 0; `correlation_integral` sums it too),
-s = pi xi h and s0 = pi |m| p h, |F(xi)|^2 = (sin^2 s/s^2) sum_D c_D R(D) cos(2Ds),
-so int_0^1 |F(m p b^t)|^2 dt = (1/ln b) sum_D c_D R(D) J_D, J_D = int_{s0}^{b s0}
+s = pi xi h and s0 = pi |m| h, |F(xi)|^2 = (sin^2 s/s^2) sum_D c_D R(D) cos(2Ds),
+so int_0^1 |F(m b^t)|^2 dt = (1/ln b) sum_D c_D R(D) J_D, J_D = int_{s0}^{b s0}
 sin^2 s cos(2Ds)/s^3 ds.  If b s0 <= 1, J_0 = [Ci(2s) - sin^2 s/(2s^2) - sin 2s/(2s)]
 and for D > 0 sin^2 s/s^2 is expanded in powers of s: Ci(2Ds) plus elementary
 integrals of s^(2j-1) cos(2Ds), each O(1).  Otherwise sin^2 s cos 2Ds = cos(2Ds)/2
@@ -39,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .measures import (AdicMeasure, _lag_correlation, _lag_weights, bernoulli, cantor3,
                        correlation_integral, markov, realize, uniform)
 from .reports import derive_rng
@@ -207,8 +208,8 @@ def c1_default_battery() -> tuple[C1DensitySpec, ...]:
 def c1_bound_check(spec: C1DensitySpec, t: float) -> tuple[float, float, bool]:
     """lhs = |f-hat(t)| = |ft(t (b-a))| in closed form, rhs = (sup f + (b-a) sup f')/(pi |t|);
     the bound is one-sided in t, and |t| is used via conjugate symmetry."""
-    if t == 0:
-        raise InputError("t must be nonzero")
+    if t == 0 or not math.isfinite(t):
+        raise InputError("t must be finite and nonzero")
     lhs = abs(spec.ft(t * (spec.b - spec.a)))
     rhs = (spec.sup_f + (spec.b - spec.a) * spec.sup_df) / (math.pi * abs(t))
     return lhs, rhs, lhs <= rhs + SLACK
@@ -227,12 +228,13 @@ class SmoothingParams:
     r: float
 
     def __post_init__(self):
-        if self.b_scale <= 1.0:
-            raise InputError("b_scale must exceed 1")
+        if not 1.0 < self.b_scale < math.inf:
+            raise InputError("b_scale must be finite and exceed 1")
+        object.__setattr__(self, "m", integer(self.m, "m"))
         if self.m == 0:
             raise InputError("m must be nonzero")
-        if self.r <= 0:
-            raise InputError("r must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise InputError("r must be finite and positive")
 
 
 # Ci's polynomials, highest power first, from tests/ci_coefficients.py: the series in
@@ -390,23 +392,20 @@ def _lag_integral_vectors(lags, ends, stats: dict | None = None):
         rows = {s: row for s, row in rows.items() if last[s] > i}
 
 
-def _scale_averages(lags, h: float, pairs, prescale: float = 1.0,
-                    stats: dict | None = None) -> list[list[float]]:
+def _scale_averages(lags, h: float, pairs, stats: dict | None = None) -> list[list[float]]:
     """(1/ln b) sum_D c_D R(D) J_D for each (m, b) in pairs and each c_D R(D) in lags,
     all of one length K and cell width h."""
-    ends = [(math.pi * abs(m) * prescale * h, b) for m, b in pairs]
+    ends = [(math.pi * abs(m) * h, b) for m, b in pairs]
     Js = _lag_integral_vectors(lags, [(s0, b * s0) for s0, b in ends], stats)
     return [[float(np.sum(R * J)) / math.log(b) for R in lags] for (_, b), J in zip(ends, Js)]
 
 
-def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams,
-                       prescale: float = 1.0) -> float:
-    """integral over t in [0,1] of |F_m(S_{b^t} S_prescale mu)|^2 dt, in the
-    closed form of the module docstring; c_D R(D) comes from `_lag_weights`."""
-    if prescale <= 0:
-        raise InputError("prescale must be positive")
+def scaled_sq_integral(mu: AdicMeasure, params: SmoothingParams) -> float:
+    """integral over t in [0,1] of |F_m(S_{b^t} mu)|^2 dt, in the closed form of the
+    module docstring; c_D R(D) comes from `_lag_weights`.  For a scaled measure S_p mu,
+    pass m p: F_m(S_p mu) = F_(m p)(mu)."""
     return _scale_averages([_lag_weights(mu.weights)], mu.cell_width,
-                           [(params.m, params.b_scale)], prescale)[0][0]
+                           [(params.m, params.b_scale)])[0][0]
 
 
 def _scale_bound(params: SmoothingParams) -> float:
@@ -436,7 +435,8 @@ def default_measure_battery(seed: int = 20240) -> list[tuple[str, AdicMeasure]]:
 
 
 def smoothing_certificate(measures, ms, bs, rs, diagnostics: list | None = None) -> list[dict]:
-    """One row per (measure, m, b, r): lhs, rhs, margin, ok.
+    """One row per (measure, m, b, r): lhs, corr (the correlation integral at r), rhs,
+    margin, ok.
 
     One R per measure serves both sides; one `_scale_averages` call per (base, level)
     serves every (|m|, b) and appends its counts to diagnostics, if given.  Each lhs is
@@ -452,7 +452,7 @@ def smoothing_certificate(measures, ms, bs, rs, diagnostics: list | None = None)
     for base, level in dict.fromkeys((mu.base, mu.level) for mu in lags):
         mus = [mu for mu in lags if (mu.base, mu.level) == (base, level)]
         stats = {"base": base, "level": level}
-        values = _scale_averages([lags[mu] for mu in mus], mus[0].cell_width, pairs, 1.0, stats)
+        values = _scale_averages([lags[mu] for mu in mus], mus[0].cell_width, pairs, stats)
         lhs_by_key.update(((mu, *key), v) for key, vals in zip(pairs, values)
                           for mu, v in zip(mus, vals))
         if diagnostics is not None:
@@ -464,7 +464,8 @@ def smoothing_certificate(measures, ms, bs, rs, diagnostics: list | None = None)
             lhs = lhs_by_key[mu, abs(p.m), p.b_scale]
             rhs = _scale_bound(p) + corr[p.r]
             rows.append({"measure": label, "m": p.m, "b": p.b_scale, "r": p.r, "lhs": lhs,
-                         "rhs": rhs, "margin": rhs - lhs, "ok": lhs <= rhs + SLACK})
+                         "corr": corr[p.r], "rhs": rhs, "margin": rhs - lhs,
+                         "ok": lhs <= rhs + SLACK})
     return rows
 
 

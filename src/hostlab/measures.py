@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NullCylinderError, PrecisionError, ResolutionError, ResourceError
+from .errors import (InputError, NullCylinderError, PrecisionError, ResolutionError,
+                     ResourceError, integer)
 
 MAX_WEIGHT_ENTRIES = 1 << 24   # weight-vector budget (memory < 1 GB)
 _PROB_TOL = 1e-12
@@ -102,7 +103,10 @@ def markov(P, pi=None) -> MeasureGen:
     if pi is None:
         A = P.T - np.eye(a)
         A[-1] = 1.0
-        pi = np.linalg.solve(A, np.eye(a)[-1])
+        try:
+            pi = np.linalg.solve(A, np.eye(a)[-1])
+        except np.linalg.LinAlgError:
+            raise InputError("P has no unique stationary law, so pi must be given") from None
     pi = np.asarray(pi, dtype=np.float64)
     if not np.all(np.isfinite(pi) & (pi >= -_PROB_TOL)) or abs(pi.sum() - 1.0) > _PROB_TOL:
         raise InputError("pi must be a probability vector")
@@ -148,7 +152,7 @@ def _step_table(P: np.ndarray, pi: np.ndarray) -> StepTable:
 def ifs_digits(base: int, digits, weights=None) -> MeasureGen:
     """Equal-ratio self-similar measure on the digit set: the Bernoulli
     process with the weights on its digits and zeros off them."""
-    digits = tuple(sorted(int(d) for d in digits))
+    digits = tuple(sorted(integer(d, "digit") for d in digits))
     if not digits or len(set(digits)) != len(digits):
         raise InputError("digit set must be nonempty without repeats")
     if any(not (0 <= d < base) for d in digits):
@@ -377,8 +381,8 @@ def correlation_integral(mu: AdicMeasure, r: float) -> float:
 def _lag_correlation(R: np.ndarray, h: float, r: float) -> float:
     """`correlation_integral` at radius r from the `_lag_weights` R of a
     measure of cell width h, so callers that hold R do not rebuild it."""
-    if r <= 0:
-        raise InputError("radius must be positive")
+    if not 0.0 < r < np.inf:
+        raise InputError("radius must be finite and positive")
     if h > r / 16.0:
         raise ResolutionError(
             f"cell width {h:g} exceeds r/16 = {r / 16:g}; deepen the level",

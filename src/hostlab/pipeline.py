@@ -33,17 +33,9 @@ from .adic import (
     mul_mod1,
     multiplicatively_dependent,
 )
-from .errors import InputError, NullCylinderError, PrecisionError
-from .fourier import TAU, _scale_averages, cis, ft_adic_many
-from .measures import (
-    MeasureGen,
-    PastWord,
-    _lag_correlation,
-    _lag_weights,
-    conditional_on_past,
-    entropy,
-    sample_digits,
-)
+from .errors import InputError, NullCylinderError, PrecisionError, integer
+from .fourier import TAU, cis, ft_adic_many, smoothing_certificate
+from .measures import MeasureGen, PastWord, conditional_on_past, entropy, sample_digits
 from .reports import derive_rng
 
 
@@ -119,8 +111,8 @@ def _orbit_character_sums(r: np.ndarray, freqs, checkpoints):
 def _freqs_and_checkpoints(freqs, checkpoints):
     """Validated frequencies and ascending checkpoints; repeats are refused,
     since each (m, N) names one row of the output."""
-    freqs = tuple(int(m) for m in freqs)
-    checkpoints = tuple(sorted(int(n) for n in checkpoints))
+    freqs = tuple(integer(m, "frequency") for m in freqs)
+    checkpoints = tuple(sorted(integer(n, "checkpoint") for n in checkpoints))
     if not freqs or 0 in freqs or len(set(freqs)) < len(freqs):
         raise InputError("frequency set must be nonempty, distinct and exclude 0")
     if not checkpoints or checkpoints[0] < 1 or len(set(checkpoints)) < len(checkpoints):
@@ -195,6 +187,7 @@ def orbit_vs_conditional_compare(gen: MeasureGen, past: PastWord, x: UnitPoint,
     built; a level with a^level > 2^1022 raises PrecisionError before any orbit work.
     """
     a = gen.base
+    k, m, N = integer(k, "k"), integer(m, "m"), integer(N, "N")
     if m == 0:
         raise InputError("m must be nonzero")
     if x.base != a:
@@ -270,17 +263,17 @@ def proof_chain_quantity(gen: MeasureGen, k: int, m: int, level: int | None = No
                          diagnostics: list | None = None) -> ProofChainEstimate:
     """The average over stationary pasts of int_0^1 |F_m(S_{a^z} S_{a^k} mu_past)|^2 dz.
 
-    The z-integral is the scale-smoothing quantity with scale base a and
-    prescale a^k; its companion bound is 1/(a^(k/2) |m| ln a) plus the
-    correlation integral of the unscaled conditional at radius a^(-k/2).
+    As F_m(S_{a^k} mu) = F_(m a^k)(mu), the z-integral is the lhs of the
+    smoothing certificate of the unscaled conditional at frequency m a^k and
+    scale base a, and the correlation term is that certificate's at radius
+    a^(-k/2); the companion bound's scale half is 1/(a^(k/2) |m| ln a).
     A conditional depends on its past only through the most recent symbol s,
     whose law is pi, so both averages are exact sums over the states with
-    pi_s > 0; states with one conditional law share one evaluation.  The
-    scale average's counts (`smoothing_certificate`'s, with k) go to diagnostics.
+    pi_s > 0; states with one conditional law share one certificate row.  The
+    certificate's scale-average counts, with k, go to diagnostics.
     """
     a = gen.base
-    if m == 0:
-        raise InputError("m must be nonzero")
+    k, m = integer(k, "k"), integer(m, "m")
     if k < 0:
         raise InputError("need k >= 0")
     if entropy(gen) <= 1e-12:
@@ -290,18 +283,14 @@ def proof_chain_quantity(gen: MeasureGen, k: int, m: int, level: int | None = No
     if level is None:
         level = max(math.ceil(k / 2.0 + math.log(16.0) / math.log(a)) + 2, 8)
 
-    prescale = float(a) ** k
     states = np.flatnonzero(gen.pi > 0.0)
     _, law, mus = _conditional_laws(gen, [PastWord(a, (int(s),)) for s in states], level)
     mass = np.bincount(law, weights=gen.pi[states])
-    # one c_D R(D) per measure for both sides; the values equal
-    # scaled_sq_integral and correlation_integral bit for bit
-    lags, h = [_lag_weights(mu.weights) for mu in mus], mus[0].cell_width
-    stats = {"k": k, "base": a, "level": level}
-    lhs = np.array(_scale_averages(lags, h, [(m, float(a))], prescale, stats)[0])
+    stats: list[dict] = []
+    rows = smoothing_certificate(list(enumerate(mus)), [m * a ** k], [float(a)], [r], stats)
     if diagnostics is not None:
-        diagnostics.append(stats)
-    corr = np.array([_lag_correlation(R, h, r) for R in lags])
+        diagnostics.append({"k": k, **stats[0]})
+    lhs, corr = (np.array([row[key] for row in rows]) for key in ("lhs", "corr"))
 
     scale_term = 1.0 / (float(a) ** (k / 2.0) * abs(m) * math.log(a))
     # deviations from the first law, so one law gives its value bit for bit
@@ -349,10 +338,9 @@ def host_experiment(cfg: HostExperimentConfig, parallel_map=map) -> HostReport:
     from the measure at that resolution.  a and b multiplicatively dependent
     does not abort the run; the report is labeled a negative control.  No
     equidistribution rate is asserted here.
-    Samples go through `parallel_map` (default: in order), which every CLI
-    run keeps: big-int set-up and the read-out scan hold the GIL, and at paper
-    scale (2-vCPU VM, three runs each) 2 threads took 1.13-1.16 s against
-    1.10-1.31 s in order.
+    Samples go through `parallel_map` (default: in order).  No CLI path
+    passes one; the parameter stays only because the benchmark's self-test
+    (`bench/selftest.py`) passes `reports.parallel_map` (ROADMAP item 1).
     """
     gen, b = cfg.gen, cfg.b
     a = gen.base

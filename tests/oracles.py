@@ -120,24 +120,23 @@ def mc_scaled_sq(mu, b: float, m: int, pairs: int,
     return mean, se
 
 
-def panel_scaled_sq(mu, params, prescale: float = 1.0, nodes: int = 16,
-                    tol: float = 1e-6, max_doublings: int = 6) -> float:
-    """integral over t in [0,1] of |F_m(S_{b^t} S_prescale mu)|^2 dt by panel
+def panel_scaled_sq(mu, params, nodes: int = 16, tol: float = 1e-6,
+                    max_doublings: int = 6) -> float:
+    """integral over t in [0,1] of |F_m(S_{b^t} mu)|^2 dt by panel
     Gauss-Legendre on the transform itself.
 
     `nodes` points per panel; the initial panel count resolves the
-    integrand's oscillation (about |m| b ln b per unit support diameter, and
-    the prescaled support has diameter `prescale`), then panels double until
-    two successive values agree within tol.
+    integrand's oscillation (about |m| b ln b per unit support diameter),
+    then panels double until two successive values agree within tol.
     """
     b, m = params.b_scale, params.m
-    panels = max(16, math.ceil(4.0 * abs(m) * b * math.log(b) * prescale))
+    panels = max(16, math.ceil(4.0 * abs(m) * b * math.log(b)))
     x_gl, w_gl = leggauss(nodes)
 
     def value(p: int) -> float:
         edges = np.arange(p, dtype=np.float64) / p
         ts = (edges[:, None] + (x_gl[None, :] + 1.0) / (2.0 * p)).ravel()
-        xis = m * prescale * np.power(b, ts)
+        xis = m * np.power(b, ts)
         vals = np.abs(ft_adic_many(mu, xis)) ** 2
         return float(vals @ np.tile(w_gl / (2.0 * p), p))
 
@@ -485,10 +484,10 @@ def proof_chain_monte_carlo(gen, k: int, m: int, level: int, samples: int,
     from hostlab.reports import derive_rng
 
     a = gen.base
-    params = SmoothingParams(b_scale=float(a), m=m, r=1.0)
+    params = SmoothingParams(b_scale=float(a), m=m * a ** k, r=1.0)     # F_m S_(a^k) = F_(m a^k)
     vals = np.array([scaled_sq_integral(
         conditional_on_past(gen, sample_past(gen, 32, derive_rng(seed, k, m, i)), level),
-        params, prescale=float(a) ** k) for i in range(samples)])
+        params) for i in range(samples)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 

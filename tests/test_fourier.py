@@ -30,6 +30,7 @@ from hostlab.measures import (
     bernoulli,
     cantor3,
     conditional_on_past,
+    correlation_integral,
     cylinder_condition,
     markov,
     realize,
@@ -355,24 +356,25 @@ def _closed_form_cases(kind):
         for _, mu in default_measure_battery(20240):
             for m in range(1, 9):
                 for b in (2.0, 10.0):
-                    yield mu, SmoothingParams(b_scale=b, m=m, r=0.1), 1.0
+                    yield mu, SmoothingParams(b_scale=b, m=m, r=0.1)
     elif kind == "cantor3-prescaled":
+        # S_(3^k) mu at m = 1 is mu at m = 3^k
         for level in (8, 9):
             mu = realize(cantor3(), level)
             for k in (0, 2, 4, 6):
-                yield mu, SmoothingParams(b_scale=3.0, m=1, r=0.1), 3.0 ** k
+                yield mu, SmoothingParams(b_scale=3.0, m=3 ** k, r=0.1)
     else:
         for mu in _unfactorized_measures():
             for m in (1, -1, 2, -2):
-                yield mu, SmoothingParams(b_scale=2.0, m=m, r=0.1), 1.0
+                yield mu, SmoothingParams(b_scale=2.0, m=m, r=0.1)
 
 
 @pytest.mark.parametrize("kind", ["battery", "cantor3-prescaled", "unfactorized"])
 def test_scaled_sq_closed_form_matches_panel_oracle(kind):
-    for mu, params, prescale in _closed_form_cases(kind):
-        got = scaled_sq_integral(mu, params, prescale=prescale)
-        want = panel_scaled_sq(mu, params, prescale=prescale)
-        assert abs(got - want) <= 1e-10, (mu.base, mu.level, params, prescale, got - want)
+    for mu, params in _closed_form_cases(kind):
+        got = scaled_sq_integral(mu, params)
+        want = panel_scaled_sq(mu, params)
+        assert abs(got - want) <= 1e-10, (mu.base, mu.level, params, got - want)
 
 
 def _lag_integral_mp(D, s0, s1):
@@ -450,26 +452,31 @@ def _count_rows(monkeypatch, calls):
 
 
 def test_smoothing_certificate_shares_lhs_across_signs_and_radii(monkeypatch):
-    measures = [("cantor3", realize(cantor3(), 9)), ("uniform2", realize(uniform(2), 10))]
-    ms, bs, rs = [1, -1, -2, 2, 3], [2.0, math.e], [3.0 ** -j for j in (1, 3)]
-    calls = []
+    # the first grid keeps b s0 < 0.03, the series branch; the second reaches both branches
+    grids = [([("cantor3", realize(cantor3(), 9)), ("uniform2", realize(uniform(2), 10))],
+              [1, -1, -2, 2, 3], [2.0, math.e], [3.0 ** -j for j in (1, 3)]),
+             ([("cantor3", realize(cantor3(), 5))], [1, 400], [2.0, 10.0], [0.5])]
+    for measures, ms, bs, rs in grids:
+        calls, stats = [], []
 
-    # one lag-integral row per distinct endpoint of each (base, level), on its support
-    # lags only: both signs of m, every r and every pair that meets at s share it
-    _count_rows(monkeypatch, calls)
-    rows = smoothing_certificate(measures, ms, bs, rs)
-    monkeypatch.undo()
-    assert sorted(c[:2] for c in calls) == sorted(_endpoint_rows(measures, ms, bs))
-    by_label = dict(measures)
-    by_key = {(r["measure"], r["m"], r["b"], r["r"]): r for r in rows}
-    assert len(by_key) == len(rows) == 2 * 5 * 2 * 2
-    for row in rows:
-        params = SmoothingParams(b_scale=row["b"], m=row["m"], r=row["r"])
-        assert row["lhs"] == scaled_sq_integral(by_label[row["measure"]], params)
-        twin = by_key.get((row["measure"], -row["m"], row["b"], row["r"]))
-        if twin is not None:
-            assert {k: v for k, v in twin.items() if k != "m"} == \
-                {k: v for k, v in row.items() if k != "m"}
+        # one lag-integral row per distinct endpoint of each (base, level), on its support
+        # lags only: both signs of m, every r and every pair that meets at s share it
+        _count_rows(monkeypatch, calls)
+        rows = smoothing_certificate(measures, ms, bs, rs, stats)
+        monkeypatch.undo()
+        assert sorted(c[:2] for c in calls) == sorted(_endpoint_rows(measures, ms, bs))
+        by_label = dict(measures)
+        by_key = {(r["measure"], r["m"], r["b"], r["r"]): r for r in rows}
+        assert len(by_key) == len(rows) == len(measures) * len(ms) * len(bs) * len(rs)
+        for row in rows:
+            params = SmoothingParams(b_scale=row["b"], m=row["m"], r=row["r"])
+            assert row["lhs"] == scaled_sq_integral(by_label[row["measure"]], params)
+            assert row["corr"] == correlation_integral(by_label[row["measure"]], row["r"])
+            twin = by_key.get((row["measure"], -row["m"], row["b"], row["r"]))
+            if twin is not None:
+                assert {k: v for k, v in twin.items() if k != "m"} == \
+                    {k: v for k, v in row.items() if k != "m"}
+    assert stats[0]["series_rows"] > 0 and stats[0]["three_cosine_rows"] > 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -559,7 +566,20 @@ def test_smoothing_certificate_empty_grids_and_bad_values():
     assert smoothing_certificate(measures, [], [2.0], [0.5]) == []
     assert smoothing_certificate(measures, [1], [], [0.5]) == []
     assert smoothing_certificate(measures, [1], [2.0], []) == []
+    nan, inf = float("nan"), float("inf")
     for ms, bs, rs in (([1, 0], [2.0], [0.5]), ([1], [2.0, 1.0], [0.5]),
-                       ([1], [2.0], [0.5, 0.0]), ([1], [2.0], [-0.5])):
+                       ([1], [2.0], [0.5, 0.0]), ([1], [2.0], [-0.5]),
+                       ([1], [nan], [0.5]), ([1], [inf], [0.5]), ([1], [2.0], [nan]),
+                       ([1], [2.0], [inf]), ([1.5], [2.0], [0.5]), ([nan], [2.0], [0.5]),
+                       ([True], [2.0], [0.5])):
         with pytest.raises(InputError):
             smoothing_certificate(measures, ms, bs, rs)
+    # the functions beside the certificate refuse the same values
+    for call in (lambda: correlation_integral(measures[0][1], nan),
+                 lambda: correlation_integral(measures[0][1], inf),
+                 lambda: c1_bound_check(quadratic_bump(), nan),
+                 lambda: c1_bound_check(quadratic_bump(), inf)):
+        with pytest.raises(InputError):
+            call()
+    assert SmoothingParams(b_scale=2.0, m=np.int64(-3), r=0.5).m == -3
+    assert type(SmoothingParams(b_scale=2.0, m=2.0, r=0.5).m) is int

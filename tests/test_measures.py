@@ -608,3 +608,17 @@ def test_generator_validation():
         markov(MARKOV_P, pi=[0.5, 0.5])
     with pytest.raises(InputError):
         bernoulli(2, [-0.1, 1.1])
+    # a digit that is not an integer is refused, not truncated into the digit set
+    for digits in ([0, 2.5], [0, float("nan")], [True, 2], ["0", 2]):
+        with pytest.raises(InputError, match="must be an integer"):
+            ifs_digits(3, digits)
+    assert np.array_equal(ifs_digits(3, [0.0, np.int64(2)]).pi, cantor3().pi)
+
+
+@pytest.mark.parametrize("P", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]],
+                         ids=["identity", "two-classes"])
+def test_markov_without_a_unique_stationary_law_is_input_error(P):
+    with pytest.raises(InputError, match="no unique stationary law"):
+        markov(P)
+    gen = markov(P, pi=[1.0] + [0.0] * (len(P) - 1))      # a given stationary pi is read
+    assert np.array_equal(gen.pi, [1.0] + [0.0] * (len(P) - 1))

@@ -84,6 +84,21 @@ def test_weyl_input_validation():
         weyl_sum(x, 2, freqs=(0, 1), checkpoints=(10,))
     with pytest.raises(InputError):
         weyl_sum(x, 2, freqs=(1,), checkpoints=())
+    # a value that is not an integer is refused, not truncated; integral floats and
+    # numpy ints are read as the ints they are
+    for freqs, checkpoints in (((1.5,), (10,)), ((1,), (10.7,)), ((1,), (float("nan"),)),
+                               ((True,), (10,)), ((1,), ("10",))):
+        with pytest.raises(InputError, match="must be an integer"):
+            weyl_sum(x, 2, freqs, checkpoints)
+        with pytest.raises(InputError, match="must be an integer"):
+            HostExperimentConfig(gen=cantor3(), b=2, seed=1, freqs=freqs,
+                                 checkpoints=checkpoints)
+    assert np.array_equal(weyl_sum(x, 2, (np.int64(1), 2.0), (np.int32(10), 20.0)),
+                          weyl_sum(x, 2, (1, 2), (10, 20)))
+    cfg = HostExperimentConfig(gen=cantor3(), b=2, seed=1, freqs=(np.int64(2), -1.0),
+                               checkpoints=(100.0,))
+    assert (cfg.freqs, cfg.checkpoints) == ((2, -1), (100,))
+    assert all(type(v) is int for v in (*cfg.freqs, *cfg.checkpoints))
 
 
 def test_weyl_conjugate_symmetry_and_bound():
@@ -187,6 +202,9 @@ def test_compare_rejects_zero_frequency():
     with pytest.raises(InputError):
         orbit_vs_conditional_compare(cantor3(), PastWord(3, (0,)), x,
                                      b=2, k=1, m=0, N=50)
+    for k, m, N in ((1, 1.5, 50), (1.5, 1, 50), (1, 1, 50.5)):
+        with pytest.raises(InputError, match="must be an integer"):
+            orbit_vs_conditional_compare(cantor3(), PastWord(3, (0,)), x, b=2, k=k, m=m, N=N)
 
 
 def test_compare_lebesgue_collapses():
@@ -324,17 +342,19 @@ def test_compare_markov_empty_past_is_input_error():
 def test_one_conditional_per_distinct_law(monkeypatch):
     # every past gives cantor3 one conditional law, which compare transforms
     # in one call and proof-chain evaluates once; the chain has one per state
-    from hostlab import pipeline
+    from hostlab import fourier, pipeline
     counts = {}
 
-    def counted(name, fn):
+    def counted(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(pipeline, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("ft_adic_many", ft_adic_many)
-    counted("_lag_weights", pipeline._lag_weights)
+    counted(pipeline, "ft_adic_many")
+    counted(fourier, "_lag_weights")
     for gen, b, past, laws in ((cantor3(), 2, PastWord(3, (0,)), 1),
                                (markov(MARKOV_P), 3, PastWord(2, (1,)), 2)):
         counts.clear()
@@ -402,8 +422,24 @@ def test_proof_chain_decay_and_refusals():
     assert e4.value < e0.value
     with pytest.raises(InputError):
         proof_chain_quantity(bernoulli(2, [1.0, 0.0]), k=2, m=1, level=8)
-    with pytest.raises(InputError):
-        proof_chain_quantity(gen, k=0, m=0, level=9)
+    for k, m in ((0, 0), (2.5, 1), (-1, 1), (2, 1.5), (2, float("nan"))):
+        with pytest.raises(InputError):
+            proof_chain_quantity(gen, k=k, m=m, level=9)
+
+
+@pytest.mark.parametrize("gen, k", [(cantor3(), 0), (cantor3(), 12),
+                                    (bernoulli(2, [0.3, 0.7]), 8)],
+                         ids=["cantor3-k0", "cantor3-k12", "bernoulli-k8"])
+@pytest.mark.parametrize("m", [1, -2])
+def test_proof_chain_value_is_the_scale_average_at_m_a_k(gen, k, m):
+    # F_m(S_(a^k) mu) = F_(m a^k)(mu): one law's value is scaled_sq_integral at m a^k bit
+    # for bit.  cantor3 at k = 0 stays on the series branch; at k = 12 (level 11) s0 is
+    # 3 pi |m|, the three-cosine branch
+    a = gen.base
+    est = proof_chain_quantity(gen, k=k, m=m)
+    mu = conditional_on_past(gen, PastWord(a, (0,)), est.level)
+    assert est.value == scaled_sq_integral(mu, SmoothingParams(b_scale=float(a), m=m * a ** k,
+                                                               r=1.0))
 
 
 def test_proof_chain_runs_past_k6():
@@ -426,8 +462,8 @@ def test_proof_chain_markov_is_the_exact_past_average(gen, k):
     # conditional built here from the last symbol alone
     a, level = gen.base, 9
     conds = [conditional_on_past(gen, PastWord(a, (s,)), level) for s in range(a)]
-    lhs = [scaled_sq_integral(mu, SmoothingParams(b_scale=float(a), m=1, r=1.0),
-                              prescale=float(a) ** k) for mu in conds]
+    lhs = [scaled_sq_integral(mu, SmoothingParams(b_scale=float(a), m=a ** k, r=1.0))
+           for mu in conds]
     corr = [correlation_integral(mu, float(a) ** (-k / 2.0)) for mu in conds]
     est = proof_chain_quantity(gen, k=k, m=1, level=level)
     assert est.value == pytest.approx(float(np.dot(gen.pi, lhs)), rel=1e-15, abs=0.0)
